@@ -1,3 +1,4 @@
+module Sketch = Imtp_engine.Sketch
 module Op = Imtp_workload.Op
 
 let dim = 11

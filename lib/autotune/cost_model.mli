@@ -18,7 +18,7 @@ val copy : t -> t
 (** A deep snapshot: later {!observe} calls on either model leave the
     other untouched.  Search checkpoints capture the model this way. *)
 
-val features : Imtp_workload.Op.t -> Sketch.params -> float array
+val features : Imtp_workload.Op.t -> Imtp_engine.Sketch.params -> float array
 (** The feature vector for one candidate: log-scaled schedule
     parameters and workload shape terms. *)
 

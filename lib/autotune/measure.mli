@@ -11,7 +11,7 @@
     telemetry should use {!Imtp_engine.Engine} directly. *)
 
 type result = {
-  params : Sketch.params;
+  params : Imtp_engine.Sketch.params;
   stats : Imtp_upmem.Stats.t;
   latency_s : float;  (** noisy total latency — the tuning objective. *)
 }
@@ -24,18 +24,18 @@ val build :
   ?skip_inputs:string list ->
   Imtp_upmem.Config.t ->
   Imtp_workload.Op.t ->
-  Sketch.params ->
+  Imtp_engine.Sketch.params ->
   (Imtp_tir.Program.t, string) Result.t
 (** Lower and optimize a candidate; [Error] carries the rendered
     {!Imtp_engine.Engine.error} (lowering or verifier rejection). *)
 
 val measure :
-  ?rng:Rng.t ->
+  ?rng:Imtp_engine.Rng.t ->
   ?passes:Imtp_passes.Pipeline.config ->
   ?skip_inputs:string list ->
   Imtp_upmem.Config.t ->
   Imtp_workload.Op.t ->
-  Sketch.params ->
+  Imtp_engine.Sketch.params ->
   (result, string) Result.t
 (** [rng] adds ±2 % multiplicative noise to the latency; omit it for
     deterministic measurements (benchmarks, tests).  [skip_inputs]

@@ -3,6 +3,8 @@ let log_src = Logs.Src.create "imtp.search" ~doc:"IMTP evolutionary search"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Engine = Imtp_engine.Engine
 module Pool = Imtp_engine.Pool
+module Rng = Imtp_engine.Rng
+module Sketch = Imtp_engine.Sketch
 module Obs = Imtp_obs.Obs
 
 type strategy = { balanced_sampling : bool; adaptive_epsilon : bool }
@@ -51,15 +53,14 @@ type outcome = {
 (* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything one island's loop mutates, snapshotted at a generation
-   (single-island) or migration (multi-island) boundary.  All fields
-   are plain data (no closures), so a checkpoint marshals to disk
-   as-is ({!Checkpoint}); [Rng.t] serializes its exact draw position,
-   which is what makes resumption bit-identical.  The engine's memo
-   tables are deliberately NOT part of the state: cached artifacts are
-   a pure function of their candidate, so a resumed run on a cold
-   cache rebuilds the same values — only the cache-ledger fields of
-   the outcome ([cache_hits], [measured_trials]) reflect the
+(* Everything one island's loop mutates, snapshotted at a rendezvous
+   boundary.  All fields are plain data (no closures), so a checkpoint
+   marshals to disk as-is ({!Checkpoint}); [Rng.t] serializes its exact
+   draw position, which is what makes resumption bit-identical.  The
+   engine's memo tables are deliberately NOT part of the state: cached
+   artifacts are a pure function of their candidate, so a resumed run
+   on a cold cache rebuilds the same values — only the cache-ledger
+   fields of the outcome ([cache_hits], [measured_trials]) reflect the
    executions this process actually paid for. *)
 type island_state = {
   il_island : int;
@@ -96,10 +97,10 @@ type checkpoint = {
   ck_measure_ratio : float option;
   ck_islands : int;
   ck_migrate_every : int;
-  ck_boundary : int;  (* generations (k=1) or migration boundary (k>1) *)
+  ck_boundary : int;  (* rendezvous boundary (= generations when k=1) *)
   ck_tir_model : Cost_learn.t;
-      (* k=1: the island's working model; k>1: the shared model merged
-         from every island's observations through [ck_boundary]. *)
+      (* the shared model merged from every island's observations
+         through [ck_boundary] *)
   ck_states : island_state array;  (* length ck_islands, island order *)
   ck_measured_trials : int;  (* cumulative simulator ledger *)
   ck_cache_hits : int;  (* cumulative engine-cache hits *)
@@ -108,7 +109,10 @@ type checkpoint = {
 
 (* Bump whenever the checkpoint layout (or anything it transitively
    contains) changes incompatibly; {!run} rejects other formats.
-   Format 2: island-aware checkpoints (PR 9). *)
+   Format 2: island-aware checkpoints.  Every format-2 snapshot
+   resumes, including single-island ones whose states are
+   post-migration and whose [ck_migrate_every] is not 1: one island
+   always rendezvouses every generation, and migrates nothing. *)
 let checkpoint_format = 2
 
 let checkpoint_trial ck =
@@ -196,8 +200,7 @@ let env_islands () =
       | Some k when k >= 1 -> Some (clamp_islands k)
       | Some _ | None -> None)
 
-(* The mutable working state of one island — the multi-island run keeps
-   [k] of these, the single-island run exactly one. *)
+(* The mutable working state of one island; a run keeps [k] of these. *)
 type island_ctx = {
   ix : int;
   ix_trials : int;
@@ -218,29 +221,37 @@ type island_ctx = {
   mutable migrations : int;
   mutable epoch_obs : (float array * float) list;
       (* newest first: (features, latency) observed since the last
-         model merge — published at the next boundary (k>1, gated). *)
+         model merge — published at the next boundary (gated). *)
   mutable done_ : bool;
 }
 
-(* Pre-migration snapshot one island publishes at a boundary, plus its
-   epoch's model observations in chronological order. *)
+(* What one island publishes at a boundary: its pre-migration
+   population (the ring successor's migrants come from it), its working
+   learned model with the epoch's observations that model folded in
+   (chronological), and — only when the run emits checkpoints — a full
+   snapshot of its state. *)
 type publication = {
-  pub_state : island_state;
+  pub_population : (Sketch.params * float) list;
+  pub_tir : Cost_learn.t;
   pub_obs : (float array * float) list;
+  pub_done : bool;  (* the island's trial budget is exhausted *)
+  pub_state : island_state option;
 }
 
-(* Rendezvous state shared by all islands of one run.  [shared_tir] is
-   the one mutex-guarded learned cost model: at every boundary the
-   first island past the rendezvous folds all islands' epoch
-   observations into it in (boundary, island) order — a deterministic
-   merge — and every island then continues from a copy. *)
+(* Rendezvous state shared by all islands of one run.  The islands
+   share one learned cost model: at every boundary the first island
+   past the rendezvous folds all islands' epoch observations into one
+   merged model in island order — a deterministic merge — and every
+   island then continues from that model; [merged] holds the copies
+   handed out.  [pubs] holds at most the current and the previous
+   boundary: a boundary's publications are dropped once every island
+   has passed it. *)
 type island_shared = {
   sm : Mutex.t;
   scv : Condition.t;
   pubs : (int * int, publication) Hashtbl.t;  (* (island, boundary) *)
-  final : island_state option array;  (* post-migration state once done *)
-  done_at : int option array;
-  shared_tir : Cost_learn.t;
+  final : publication option array;  (* post-migration, once done *)
+  merged : Cost_learn.t option array;  (* the boundary's model, to adopt *)
   mutable merged_boundary : int;
   mutable stop_boundary : int option;
   mutable failed : exn option;
@@ -272,8 +283,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         let k =
           match islands with
           | Some k -> clamp_islands k
-          | None -> (
-              match env_islands () with Some k -> k | None -> jobs)
+          | None -> Option.value (env_islands ()) ~default:1
         in
         (* Every island needs at least an initial population's worth of
            budget to evolve anything, so tiny runs shed islands. *)
@@ -304,6 +314,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       invalid_arg "Search.run: measure_ratio must be in (0, 1]"
   | Some _ | None -> ());
   let k = islands in
+  (* One island has nothing to migrate, so it rendezvouses — merges its
+     model, checkpoints, polls [stop] — after every generation. *)
+  let migrate_every = if k = 1 then 1 else migrate_every in
   Obs.span ~name:"search.run"
     ~attrs:
       [
@@ -334,9 +347,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     | Some ck -> (ck.ck_measured_trials, ck.ck_cache_hits, ck.ck_elapsed_s)
   in
   let gated = measure_ratio <> None in
-  (* Epoch observations are only tracked when there is a shared model
-     to merge them into. *)
-  let track_obs = k > 1 && gated in
   (* Per-island trial budgets: the total splits as evenly as possible,
      earlier islands taking the remainder. *)
   let budget i = (trials / k) + if i < trials mod k then 1 else 0 in
@@ -344,9 +354,9 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     {
       ix = i;
       ix_trials = budget i;
-      (* The single-island rng derivation is the historical one so
-         [~islands:1] reproduces every pre-island trace byte-for-byte;
-         multi-island runs give each island its own substream. *)
+      (* One island draws from the seed's own stream, so [~islands:1]
+         reproduces every pre-island trace byte-for-byte; with several
+         islands each gets its own substream. *)
       rng = (if k = 1 then Rng.create ~seed else Rng.stream ~base:seed ~index:i);
       model = Cost_model.create ();
       tir = Cost_learn.create ();
@@ -459,7 +469,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     if gated then begin
       let x = Cost_learn.features m.Engine.artifact.Engine.program in
       Cost_learn.observe cx.tir x latency_s;
-      if track_obs then cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
+      cx.epoch_obs <- (x, latency_s) :: cx.epoch_obs
     end;
     let r =
       { Measure.params; stats = m.Engine.artifact.Engine.stats; latency_s }
@@ -824,259 +834,212 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         truncate_population strategy ~early (cx.population @ fresh)
     end
   in
-  (* ---------------- single island: the historical loop -------------- *)
-  let interrupted = ref false in
-  let ctxs =
-    if k = 1 then begin
-      let cx =
-        match resume with
-        | None -> fresh_ctx 0
-        | Some ck ->
-            ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model)
-              ck.ck_states.(0)
-      in
-      let emit_checkpoint () =
-        match on_checkpoint with
-        | None -> ()
-        | Some f ->
-            Obs.incr "search.checkpoints";
-            f
-              (make_checkpoint ~boundary:cx.generations ~tir:cx.tir
-                 [| state_of_ctx ~migrated:true cx |])
-      in
-      if resume = None then begin
-        init_island cx;
-        emit_checkpoint ()
-      end;
-      (* [stop] is polled at generation boundaries only — between
-         checkpoints the state is mid-flight and not snapshot-safe. *)
-      let since = ref 0 in
-      while cx.trial < cx.ix_trials && not !interrupted do
-        if should_stop () then interrupted := true
-        else begin
-          step_generation cx;
-          incr since;
-          if !since mod checkpoint_every = 0 then emit_checkpoint ()
-        end
-      done;
-      (* An interrupted run leaves a checkpoint behind whatever
-         [checkpoint_every] said — the whole point of stopping
-         gracefully is that nothing since the last boundary is lost. *)
-      if !interrupted then emit_checkpoint ()
-      else if !since mod checkpoint_every <> 0 then emit_checkpoint ();
-      if not !interrupted then confirm cx;
-      cx.done_ <- cx.trial >= cx.ix_trials;
-      [ cx ]
-    end
-    else begin
-      (* ---------------- the island model ---------------------------- *)
-      let sh =
-        {
-          sm = Mutex.create ();
-          scv = Condition.create ();
-          pubs = Hashtbl.create 64;
-          final = Array.make k None;
-          done_at = Array.make k None;
-          shared_tir =
-            (match resume with
-            | None -> Cost_learn.create ()
-            | Some ck -> Cost_learn.copy ck.ck_tir_model);
-          merged_boundary =
-            (match resume with None -> -1 | Some ck -> ck.ck_boundary);
-          stop_boundary = None;
-          failed = None;
-        }
-      in
-      let ctxs =
-        match resume with
-        | None -> List.init k fresh_ctx
-        | Some ck ->
-            (* Seed the rendezvous as if every island had just
-               published the checkpoint's boundary: the states stand in
-               for the publications, the shared model is already merged
-               through it, and each island replays whatever tail of the
-               boundary (model adoption, migration) its snapshot
-               predates. *)
-            Array.iteri
-              (fun i st ->
-                Hashtbl.replace sh.pubs (i, ck.ck_boundary)
-                  { pub_state = st; pub_obs = [] };
-                if st.il_done && st.il_migrated then begin
-                  sh.done_at.(i) <- Some ck.ck_boundary;
-                  sh.final.(i) <- Some st
-                end)
-              ck.ck_states;
-            Array.to_list
-              (Array.map
-                 (fun st ->
-                   ctx_of_state ~tir:(Cost_learn.copy ck.ck_tir_model) st)
-                 ck.ck_states)
-      in
-      let all_ready b =
-        sh.failed <> None
-        || (let ready = ref true in
-            for j = 0 to k - 1 do
-              let ok =
-                Hashtbl.mem sh.pubs (j, b)
-                || (match sh.done_at.(j) with
-                   | Some d -> d < b && sh.final.(j) <> None
-                   | None -> false)
-              in
-              if not ok then ready := false
-            done;
-            !ready)
-      in
-      (* Under [sh.sm].  Assembles the boundary's checkpoint from the
-         published (pre-migration) snapshots; islands done at an
-         earlier boundary contribute their final post-migration
-         state. *)
-      let emit_island_checkpoint b =
-        match on_checkpoint with
-        | None -> ()
-        | Some f ->
-            let states =
-              Array.init k (fun j ->
-                  match Hashtbl.find_opt sh.pubs (j, b) with
-                  | Some p -> p.pub_state
-                  | None -> (
-                      match sh.final.(j) with
-                      | Some st -> st
-                      | None -> assert false))
-            in
-            Obs.incr "search.checkpoints";
-            f (make_checkpoint ~boundary:b ~tir:sh.shared_tir states)
-      in
-      (* The boundary rendezvous: publish, wait for the ring, merge the
-         shared model once (deterministic (boundary, island) fold),
-         checkpoint, then migrate from the ring predecessor.  Returns
-         true when the run is stopping. *)
-      let island_boundary cx b =
-        let pub =
-          { pub_state = state_of_ctx cx; pub_obs = List.rev cx.epoch_obs }
-        in
-        cx.epoch_obs <- [];
-        Mutex.lock sh.sm;
-        Hashtbl.replace sh.pubs (cx.ix, b) pub;
-        if cx.done_ then sh.done_at.(cx.ix) <- Some b;
-        Condition.broadcast sh.scv;
-        while not (all_ready b) do
-          Condition.wait sh.scv sh.sm
-        done;
-        if sh.failed <> None then begin
-          Mutex.unlock sh.sm;
-          raise Island_aborted
-        end;
-        if sh.merged_boundary < b then begin
-          for bb = max 0 (sh.merged_boundary + 1) to b do
-            for j = 0 to k - 1 do
-              match Hashtbl.find_opt sh.pubs (j, bb) with
-              | Some p ->
-                  List.iter
-                    (fun (x, y) -> Cost_learn.observe sh.shared_tir x y)
-                    p.pub_obs
-              | None -> ()
-            done
-          done;
-          sh.merged_boundary <- b;
-          (* One stop poll per boundary, made by the merge leader so
-             every island agrees on where the run ends. *)
-          if should_stop () then sh.stop_boundary <- Some b;
-          if sh.stop_boundary = Some b || b = 0 || b mod checkpoint_every = 0
-          then emit_island_checkpoint b
-        end;
-        let stopping = sh.stop_boundary <> None in
-        if gated then cx.tir <- Cost_learn.copy sh.shared_tir;
-        let migrants =
-          if b = 0 || stopping then []
-          else begin
-            let p = (cx.ix + k - 1) mod k in
-            let src =
-              match Hashtbl.find_opt sh.pubs (p, b) with
-              | Some pb -> Some pb.pub_state
-              | None -> sh.final.(p)
-            in
-            match src with
-            | None -> []
-            | Some st -> elites st.il_population
-          end
-        in
-        Mutex.unlock sh.sm;
-        if migrants <> [] then apply_migration cx migrants;
-        if cx.done_ && not stopping then begin
-          (* Export the post-migration state: later boundaries take
-             this island's elites (and checkpoints its state) from
-             here. *)
-          Mutex.lock sh.sm;
-          sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
-          Condition.broadcast sh.scv;
-          Mutex.unlock sh.sm
-        end;
-        stopping
-      in
-      let island_main cx =
-        Obs.span ~name:"search.island"
-          ~attrs:
-            [ ("island", Obs.Int cx.ix); ("trials", Obs.Int cx.ix_trials) ]
-        @@ fun () ->
-        let b = ref 0 in
-        let stopping = ref false in
-        (match resume with
-        | Some ck ->
-            b := ck.ck_boundary;
-            (* Replay the tail of the checkpointed boundary for a
-               snapshot taken before its migration. *)
-            let st = ck.ck_states.(cx.ix) in
-            if not st.il_migrated then begin
-              let migrants =
-                if !b = 0 then []
-                else
-                  elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
-              in
-              if migrants <> [] then apply_migration cx migrants;
-              if cx.done_ then begin
-                Mutex.lock sh.sm;
-                sh.done_at.(cx.ix) <- Some !b;
-                sh.final.(cx.ix) <- Some (state_of_ctx ~migrated:true cx);
-                Condition.broadcast sh.scv;
-                Mutex.unlock sh.sm
-              end
-            end
-        | None ->
-            init_island cx;
-            if cx.trial >= cx.ix_trials then cx.done_ <- true;
-            stopping := island_boundary cx 0);
-        while (not cx.done_) && not !stopping do
-          let g = ref 0 in
-          while !g < migrate_every && cx.trial < cx.ix_trials do
-            step_generation cx;
-            incr g
-          done;
-          if cx.trial >= cx.ix_trials then cx.done_ <- true;
-          incr b;
-          stopping := island_boundary cx !b
-        done;
-        if not !stopping then confirm cx
-      in
-      let guarded cx () =
-        try island_main cx with
-        | Island_aborted -> ()
-        | e ->
-            Mutex.lock sh.sm;
-            if sh.failed = None then sh.failed <- Some e;
-            Condition.broadcast sh.scv;
-            Mutex.unlock sh.sm
-      in
-      let rest =
-        List.filter (fun cx -> cx.ix > 0) ctxs
-        |> List.map (fun cx -> Thread.create (guarded cx) ())
-      in
-      guarded (List.hd ctxs) ();
-      List.iter Thread.join rest;
-      (match sh.failed with Some e -> raise e | None -> ());
-      interrupted := sh.stop_boundary <> None;
-      ctxs
-    end
+  (* ---------------- the island model -------------------------------- *)
+  let checkpointing = on_checkpoint <> None in
+  (* Full state snapshots are only taken when a checkpoint can be
+     emitted; otherwise a boundary publishes just what it consumes. *)
+  let publish ?migrated cx obs =
+    {
+      pub_population = cx.population;
+      pub_tir = cx.tir;
+      pub_obs = obs;
+      pub_done = cx.done_;
+      pub_state =
+        (if checkpointing then Some (state_of_ctx ?migrated cx) else None);
+    }
   in
+  let sh =
+    {
+      sm = Mutex.create ();
+      scv = Condition.create ();
+      pubs = Hashtbl.create 16;
+      final = Array.make k None;
+      merged = Array.make k None;
+      merged_boundary =
+        (match resume with None -> -1 | Some ck -> ck.ck_boundary);
+      stop_boundary = None;
+      failed = None;
+    }
+  in
+  let ctxs =
+    match resume with
+    | None -> List.init k fresh_ctx
+    | Some ck ->
+        (* The checkpoint's model is already merged through its
+           boundary.  Islands that finished there (migration applied)
+           take no further part; every other island replays whatever
+           tail of the boundary its snapshot predates. *)
+        Array.to_list ck.ck_states
+        |> List.map (fun st ->
+               let tir = Cost_learn.copy ck.ck_tir_model in
+               let cx = ctx_of_state ~tir st in
+               if st.il_done && st.il_migrated then
+                 sh.final.(cx.ix) <- Some (publish ~migrated:true cx []);
+               cx)
+  in
+  (* Under [sh.sm].  What island [j] brings to boundary [b]: its
+     (pre-migration) publication there or, once done at an earlier
+     boundary, its final post-migration one. *)
+  let published j b =
+    match Hashtbl.find_opt sh.pubs (j, b) with
+    | Some p -> Some p
+    | None -> sh.final.(j)
+  in
+  let island_ids = List.init k Fun.id in
+  let all_ready b =
+    sh.failed <> None
+    || List.for_all (fun j -> published j b <> None) island_ids
+  in
+  let emit_checkpoint ~tir b =
+    match on_checkpoint with
+    | None -> ()
+    | Some f ->
+        let state j =
+          match published j b with
+          | Some { pub_state = Some st; _ } -> st
+          | Some { pub_state = None; _ } | None -> assert false
+        in
+        Obs.incr "search.checkpoints";
+        f (make_checkpoint ~boundary:b ~tir (Array.init k state))
+  in
+  (* A done island exports its post-migration state: later boundaries
+     take its elites (and checkpoint its state) from here. *)
+  let finish cx =
+    let pub = publish ~migrated:true cx [] in
+    Mutex.lock sh.sm;
+    sh.final.(cx.ix) <- Some pub;
+    Condition.broadcast sh.scv;
+    Mutex.unlock sh.sm
+  in
+  (* The boundary rendezvous: publish, wait for the ring, merge the
+     shared model once, checkpoint, poll [stop], then migrate from the
+     ring predecessor.  Returns true when the run is stopping. *)
+  let island_boundary cx b =
+    let pub = publish cx (List.rev cx.epoch_obs) in
+    cx.epoch_obs <- [];
+    Mutex.lock sh.sm;
+    Hashtbl.replace sh.pubs (cx.ix, b) pub;
+    Condition.broadcast sh.scv;
+    while not (all_ready b) do
+      Condition.wait sh.scv sh.sm
+    done;
+    if sh.failed <> None then begin
+      Mutex.unlock sh.sm;
+      raise Island_aborted
+    end;
+    if sh.merged_boundary < b then begin
+      (* The first island past the rendezvous leads the boundary.  It
+         folds the epoch's observations in island order (a
+         deterministic merge) and drops the previous boundary's
+         publications, which every island has now passed.  The first
+         publisher's working model already is the previous merge plus
+         that island's observations, so the fold goes into it in place
+         and only the other publishers get copies: a lone island
+         neither folds nor copies anything. *)
+      let tir, rest =
+        match
+          List.filter_map
+            (fun j ->
+              Option.map (fun p -> (j, p)) (Hashtbl.find_opt sh.pubs (j, b)))
+            island_ids
+        with
+        | (_, first) :: rest -> (first.pub_tir, rest)
+        | [] -> assert false
+      in
+      List.iter
+        (fun (_, p) ->
+          List.iter (fun (x, y) -> Cost_learn.observe tir x y) p.pub_obs)
+        rest;
+      List.iter
+        (fun (j, _) -> sh.merged.(j) <- Some (Cost_learn.copy tir))
+        rest;
+      Hashtbl.filter_map_inplace
+        (fun (_, bb) p -> if bb < b then None else Some p)
+        sh.pubs;
+      sh.merged_boundary <- b;
+      (* The due checkpoint goes out before the boundary's one [stop]
+         poll, so every island agrees on where the run ends and a stop
+         at a boundary whose checkpoint is not due still leaves one.
+         A run that is over at [b] has nothing left to stop. *)
+      let due = b = 0 || b mod checkpoint_every = 0 in
+      if due then emit_checkpoint ~tir b;
+      let over =
+        List.for_all (fun j -> (Option.get (published j b)).pub_done) island_ids
+      in
+      if (not over) && should_stop () then begin
+        sh.stop_boundary <- Some b;
+        if not due then emit_checkpoint ~tir b
+      end
+    end;
+    let stopping = sh.stop_boundary <> None in
+    Option.iter (fun m -> cx.tir <- m) sh.merged.(cx.ix);
+    sh.merged.(cx.ix) <- None;
+    let migrants =
+      if b = 0 || stopping then []
+      else begin
+        match published ((cx.ix + k - 1) mod k) b with
+        | Some pb -> elites pb.pub_population
+        | None -> []
+      end
+    in
+    Mutex.unlock sh.sm;
+    if migrants <> [] then apply_migration cx migrants;
+    if cx.done_ && not stopping then finish cx;
+    stopping
+  in
+  let island_main cx =
+    Obs.span ~name:"search.island"
+      ~attrs:[ ("island", Obs.Int cx.ix); ("trials", Obs.Int cx.ix_trials) ]
+    @@ fun () ->
+    let b = ref 0 in
+    let stopping = ref false in
+    (match resume with
+    | Some ck ->
+        b := ck.ck_boundary;
+        (* Replay the tail of the checkpointed boundary for a snapshot
+           taken before its migration. *)
+        let st = ck.ck_states.(cx.ix) in
+        if not st.il_migrated then begin
+          let migrants =
+            if !b = 0 then []
+            else elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
+          in
+          if migrants <> [] then apply_migration cx migrants;
+          if cx.done_ then finish cx
+        end
+    | None ->
+        init_island cx;
+        if cx.trial >= cx.ix_trials then cx.done_ <- true;
+        stopping := island_boundary cx 0);
+    while (not cx.done_) && not !stopping do
+      let g = ref 0 in
+      while !g < migrate_every && cx.trial < cx.ix_trials do
+        step_generation cx;
+        incr g
+      done;
+      if cx.trial >= cx.ix_trials then cx.done_ <- true;
+      incr b;
+      stopping := island_boundary cx !b
+    done;
+    if not !stopping then confirm cx
+  in
+  let guarded cx () =
+    try island_main cx with
+    | Island_aborted -> ()
+    | e ->
+        Mutex.lock sh.sm;
+        if sh.failed = None then sh.failed <- Some e;
+        Condition.broadcast sh.scv;
+        Mutex.unlock sh.sm
+  in
+  let rest =
+    List.filter (fun cx -> cx.ix > 0) ctxs
+    |> List.map (fun cx -> Thread.create (guarded cx) ())
+  in
+  guarded (List.hd ctxs) ();
+  List.iter Thread.join rest;
+  (match sh.failed with Some e -> raise e | None -> ());
+  let interrupted = sh.stop_boundary <> None in
   (* ---------------- outcome --------------------------------------- *)
   let elapsed_s = Obs.now_s () -. t0 in
   let total f = List.fold_left (fun a cx -> a + f cx) 0 ctxs in
@@ -1149,7 +1112,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     skipped;
     cache_hits;
     elapsed_s = base_elapsed_s +. elapsed_s;
-    interrupted = !interrupted;
+    interrupted;
     resumed_from =
       (match resume with Some ck -> Some (checkpoint_trial ck) | None -> None);
     islands = k;

@@ -23,31 +23,34 @@
 
     {2 Islands}
 
-    With [islands = k > 1] the trial budget splits across [k]
-    sub-populations ("islands"), each evolving independently on its own
-    thread with its own deterministic rng substream
-    ([Rng.stream ~base:seed ~index:island]).  Islands step generations
+    Every search is an island-model run.  The trial budget splits
+    across [k] sub-populations ("islands"), each evolving independently
+    on its own thread with its own deterministic rng stream — the
+    seed's own stream ([Rng.create ~seed]) when [k = 1], else
+    [Rng.stream ~base:seed ~index:island].  Islands step generations
     {e asynchronously} — there is no global per-generation barrier —
-    and rendezvous only every [migrate_every] generations at a
-    {e migration boundary}, where each island:
+    and rendezvous only every [migrate_every] generations (every
+    generation when [k = 1], since one island has nothing to migrate)
+    at a {e boundary}, where each island:
 
-    - publishes a snapshot of its state,
-    - merges its epoch's model observations into the one shared
-      {!Cost_learn} model (folded in deterministic (boundary, island)
-      order by whichever island reaches the boundary first) and adopts
-      a copy of the merged model,
+    - publishes its population and its epoch's model observations (and
+      a snapshot of its whole state when the run emits checkpoints),
+    - merges those observations into the one shared {!Cost_learn}
+      model (folded in deterministic island order by whichever island
+      reaches the boundary first) and adopts a copy of the merged
+      model — a lone island's model passes through bit for bit,
     - imports the top {e elites} of its ring predecessor
       (island [(i+k-1) mod k]) into its population.
 
     Determinism contract: for a fixed [islands] value the outcome is a
     pure function of the seed — [~islands:k ~jobs:n] is bit-identical
     to [~islands:k ~jobs:1], because every island's evolution depends
-    only on its own substream and on snapshots exchanged at fixed
-    boundaries.  [~islands:1] takes the historical single-population
-    code path and reproduces pre-island traces byte-for-byte.  Note
-    that {e different} island counts are different searches: since
-    [islands] defaults to [jobs], pin [~islands] explicitly wherever
-    cross-machine reproducibility matters.
+    only on its own stream and on snapshots exchanged at fixed
+    boundaries.  [islands] defaults to the constant 1, so a default
+    search is the same on every host; one island reproduces the
+    pre-island traces byte-for-byte.  {e Different} island counts are
+    different (equally deterministic) searches, so a run that opts in
+    to more islands should record the count it used.
 
     {2 Measurement gating}
 
@@ -79,7 +82,7 @@ type record = {
       (** 0-based trial index the candidate was proposed at, local to
           its island. *)
   island : int;  (** which island proposed it (0 when [islands = 1]). *)
-  params : Sketch.params;  (** the candidate. *)
+  params : Imtp_engine.Sketch.params;  (** the candidate. *)
   latency_s : float;
       (** its (noisy) measured latency — or, for a gated-out candidate
           ([measured = false]), the model's predicted latency. *)
@@ -149,12 +152,12 @@ type outcome = {
   per_island : island_stats list;  (** one entry per island, in order. *)
 }
 (** Everything a search run produces.  The run also emits telemetry
-    through {!Imtp_obs.Obs}: a [search.run] span enclosing [search.init]
-    and per-generation [search.generation] spans (with population /
-    acceptance / island attributes), per-island [search.island] spans
-    when [islands > 1], a per-generation [search.rank] span under
-    gating (with size/selected attributes), the [search.*] counters
-    (including [search.measured_trials], [search.skipped] and
+    through {!Imtp_obs.Obs}: a [search.run] span enclosing one
+    [search.island] span per island, which encloses [search.init] and
+    per-generation [search.generation] spans (with population /
+    acceptance / island attributes), a per-generation [search.rank]
+    span under gating (with size/selected attributes), the [search.*]
+    counters (including [search.measured_trials], [search.skipped] and
     [search.migrations]), and the [search.best_latency_s] /
     [search.model_abs_log_err] / [search.trials_per_s] gauges — see
     DESIGN.md's "Observability" section for the full taxonomy. *)
@@ -162,11 +165,12 @@ type outcome = {
 (** {2 Checkpoints}
 
     A checkpoint is a complete snapshot of the search's state at a
-    boundary — a generation boundary when [islands = 1], a migration
-    boundary when [islands > 1]: every island's rng draw position, cost
-    model, population, deduplication tables, history and tallies, plus
-    the shared learned model as merged through that boundary.  Resuming
-    from it replays the killed run's remaining trials {e bit-identically}
+    boundary (after every generation when [islands = 1], every
+    [migrate_every] generations otherwise): every island's rng draw
+    position, cost model, population, deduplication tables, history and
+    tallies, plus the shared learned model as merged through that
+    boundary.  Resuming from it replays the killed run's remaining
+    trials {e bit-identically}
     — same history records (and therefore the same tuning-log lines),
     same best, same measured/skipped/invalid counts — because
     everything the search does downstream is a pure function of that
@@ -228,14 +232,16 @@ val run :
     {!Imtp_engine.Engine.batch} (or {!Imtp_engine.Engine.prepare_batch}
     plus pooled {!Imtp_engine.Engine.simulate} under gating), whose
     results are independent of how many domains build them, and islands
-    exchange state only at fixed migration boundaries.
+    exchange state only at fixed boundaries.
 
     [jobs] (default {!Imtp_engine.Pool.default_jobs}) bounds the worker
     domains per engine batch.  [islands] (default: [IMTP_ISLANDS] from
-    the environment, else [jobs]; clamped to [1, 64] and to at most
-    [trials / 16] so every island can seed an initial population)
+    the environment, else 1 — never the job count, so the default
+    search does not depend on the host; clamped to [1, 64] and to at
+    most [trials / 16] so every island can seed an initial population)
     shards the search island-model style; [migrate_every] (default 2,
-    generations) sets the migration cadence.  [use_cost_model] (default
+    generations; ignored with one island, which rendezvouses every
+    generation) sets the migration cadence.  [use_cost_model] (default
     true) lets the parameter-space {!Cost_model} rank candidate
     mutations before proposal; disabling it falls back to unguided
     mutation (an ablation of Fig. 5's "evolutionary search guided by a
@@ -248,9 +254,9 @@ val run :
     per run.  The engine must be domain-safe when [islands > 1] (the
     default engine is).
 
-    [on_checkpoint] (with [checkpoint_every], default 1, in generations
-    for [islands = 1] and migration boundaries otherwise) receives a
-    deep snapshot after the initial population and at boundaries; the
+    [on_checkpoint] (with [checkpoint_every], default 1, in boundaries)
+    receives a deep snapshot after the initial population and at
+    boundaries; the
     callback runs holding the islands' rendezvous lock, so keep it
     cheap (write the file, return).  [resume] restarts from such a
     snapshot: the initial-sampling phase is skipped and the
@@ -259,9 +265,10 @@ val run :
     not be bit-identical) — only [op], which must hash to the
     checkpoint's recorded operator, and the execution knobs ([jobs],
     [engine], [passes], checkpointing) are taken from the call.  [stop]
-    is polled at boundaries; when it returns [true] the run emits a
-    final checkpoint and returns early with
-    [outcome.interrupted = true].
+    is polled once per boundary, after that boundary's due checkpoint,
+    and not at the boundary where the last island finishes; when it
+    returns [true] the run emits a final checkpoint (unless one was
+    just due) and returns early with [outcome.interrupted = true].
 
     @raise Invalid_argument if [measure_ratio] is outside (0, 1], if
     [checkpoint_every < 1] or [migrate_every < 1], or if [resume]

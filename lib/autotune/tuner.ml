@@ -1,3 +1,4 @@
+module Sketch = Imtp_engine.Sketch
 module Engine = Imtp_engine.Engine
 module Obs = Imtp_obs.Obs
 

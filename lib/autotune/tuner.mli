@@ -5,7 +5,7 @@
     the engine cache. *)
 
 type result = {
-  params : Sketch.params;
+  params : Imtp_engine.Sketch.params;
   program : Imtp_tir.Program.t;
   stats : Imtp_upmem.Stats.t;
   search : Search.outcome;
@@ -33,10 +33,10 @@ val tune :
   (result, string) Result.t
 (** Defaults: IMTP strategy, 128 trials, a fresh engine, and
     [Imtp_engine.Pool.default_jobs] worker domains per generation batch
-    ([jobs] — results are identical at any value for a fixed
-    [islands]).  [islands] and [migrate_every] shard the search
-    island-model style across the pool (see {!Search.run}; [islands]
-    defaults to the effective job count).  [measure_ratio]
+    ([jobs] — results are identical at any value).  [islands] and
+    [migrate_every] shard the search island-model style across the
+    pool (see {!Search.run}; [islands] defaults to [IMTP_ISLANDS],
+    else 1).  [measure_ratio]
     (default off) enables {!Search.run}'s learned-model measurement
     gate at the given simulator fraction.  [resume], [on_checkpoint],
     [checkpoint_every] and [stop] thread straight through to

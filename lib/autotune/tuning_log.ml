@@ -1,3 +1,4 @@
+module Sketch = Imtp_engine.Sketch
 type entry = {
   trial : int;
   island : int;

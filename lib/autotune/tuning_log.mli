@@ -8,7 +8,7 @@ type entry = {
   island : int;
       (** island that proposed the trial ([island=] key; 0 — and not
           serialized — for single-island and pre-island logs). *)
-  params : Sketch.params;  (** the candidate. *)
+  params : Imtp_engine.Sketch.params;  (** the candidate. *)
   latency_s : float;
       (** measured (noisy) latency, seconds — or the model's predicted
           latency when [measured = false]. *)
@@ -33,10 +33,10 @@ type header = {
 }
 (** Parsed log header (the leading [# imtp-tuning-log ...] line). *)
 
-val params_to_string : Sketch.params -> string
+val params_to_string : Imtp_engine.Sketch.params -> string
 (** Compact one-line form, [k=v] pairs. *)
 
-val params_of_string : string -> (Sketch.params, string) Result.t
+val params_of_string : string -> (Imtp_engine.Sketch.params, string) Result.t
 (** Inverse of {!params_to_string}; unknown keys are errors. *)
 
 val entry_to_string : entry -> string

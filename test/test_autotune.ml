@@ -1,13 +1,13 @@
 (* Autotuner tests: sketches, verifier, cost model, measurement and the
    balanced evolutionary search. *)
 
-module Sk = Imtp_autotune.Sketch
-module V = Imtp_autotune.Verifier
+module Sk = Imtp_engine.Sketch
+module V = Imtp_engine.Verifier
 module Ms = Imtp_autotune.Measure
 module Cm = Imtp_autotune.Cost_model
 module Se = Imtp_autotune.Search
 module Tu = Imtp_autotune.Tuner
-module Rng = Imtp_autotune.Rng
+module Rng = Imtp_engine.Rng
 module Ops = Imtp_workload.Ops
 module Op = Imtp_workload.Op
 module U = Imtp_upmem
@@ -300,15 +300,13 @@ let dump_outcome buf name ~seed ~trials (o : Se.outcome) =
            (Imtp_autotune.Tuning_log.params_to_string r.Se.params)))
     o.Se.history
 
-let golden_trace () =
+let fixture name =
   (* cwd is test/ under `dune runtest`, the project root under
      `dune exec test/...`. *)
-  let path =
-    if Sys.file_exists "golden_search_trace.txt" then
-      "golden_search_trace.txt"
-    else Filename.concat "test" "golden_search_trace.txt"
-  in
-  let ic = open_in path in
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+let golden_trace () =
+  let ic = open_in (fixture "golden_search_trace.txt") in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
@@ -316,8 +314,8 @@ let golden_trace () =
 let test_ungated_trace_matches_golden () =
   let buf = Buffer.create 4096 in
   let dump name op ~seed ~trials =
-    (* ~islands:1 is the historical single-population path; the trace
-       predates the island model and must survive it untouched. *)
+    (* One island draws from the seed's own rng stream, so this trace,
+       which predates the island model, survives it untouched. *)
     dump_outcome buf name ~seed ~trials (Se.run ~seed ~islands:1 cfg op ~trials)
   in
   dump "gemv" (Ops.gemv ~c:3 512 512) ~seed:77 ~trials:48;
@@ -390,8 +388,8 @@ let history_key (o : Se.outcome) =
 
 let test_gated_jobs_equivalence () =
   let op = Ops.mtv 128 256 in
-  (* islands must be pinned: it defaults to [jobs], and a different
-     island count is a different (equally deterministic) search. *)
+  (* ~islands:1 keeps IMTP_ISLANDS from changing the search under
+     test; the default-island case is test_default_jobs_equivalence. *)
   let run jobs =
     Se.run ~seed:9 ~jobs ~islands:1 ~measure_ratio:0.2 cfg op ~trials:48
   in
@@ -677,7 +675,53 @@ let test_resume_wrong_op_rejected () =
   | _ -> Alcotest.fail "resume accepted a different operator"
   | exception Invalid_argument _ -> ()
 
+(* A single-island checkpoint written by the search before one-island
+   runs went through the island-model loop (gated mtv 128x256, seed 23,
+   48 trials, stopped after generation 1).  [imtp serve] keeps [.ckpt]
+   files across daemon restarts, so an upgrade must still load such a
+   file and resume it to the uninterrupted run's outcome.  [Search.run]
+   rejects any other checkpoint format, so the resume also proves the
+   file is read as format 2. *)
+let test_committed_checkpoint_resumes () =
+  Alcotest.(check int) "checkpoint format" 2 Se.checkpoint_format;
+  let ck =
+    match Ck.load (fixture "search_checkpoint_v2.ckpt") with
+    | Ok ck -> ck
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check int) "one island" 1 (Se.checkpoint_islands ck);
+  Alcotest.(check int) "after generation 1" 32 (Se.checkpoint_trial ck);
+  let op = Ops.mtv 128 256 and trials = 48 in
+  let full = Se.run ~seed:23 ~islands:1 ~measure_ratio:0.2 cfg op ~trials in
+  let resumed = Se.run ~resume:ck cfg op ~trials in
+  Alcotest.(check bool) "resumed run completed" false resumed.Se.interrupted;
+  if outcome_key resumed <> outcome_key full then
+    Alcotest.fail "resumed outcome differs from uninterrupted run"
+
 (* --- Island model ----------------------------------------------------- *)
+
+(* With no island count given, the outcome must not depend on the host:
+   the same seed runs the same search at any job count. *)
+let test_default_jobs_equivalence () =
+  let op = Ops.mtv 128 256 in
+  let search ?measure_ratio jobs =
+    history_key (Se.run ~seed:9 ~jobs ?measure_ratio cfg op ~trials:96)
+  in
+  Alcotest.(check bool) "ungated: jobs:4 = jobs:1" true
+    (search 1 = search 4);
+  Alcotest.(check bool) "gated: jobs:4 = jobs:1" true
+    (search ~measure_ratio:0.25 1 = search ~measure_ratio:0.25 4);
+  let module G = Imtp_graph.Graph in
+  let compile jobs =
+    let g, _ =
+      G.of_spec (Imtp_workload.Nets.mlp ~d_in:32 ~d_hidden:32 ~d_out:16 ())
+    in
+    match G.Compiled.compile ~seed:13 ~jobs cfg g with
+    | Ok c -> (G.Compiled.describe c, G.Compiled.estimate c)
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check bool) "graph mlp: jobs:4 = jobs:1" true
+    (compile 1 = compile 4)
 
 let test_islands_jobs_equivalence () =
   let op = Ops.mtv 128 256 in
@@ -761,9 +805,15 @@ let test_island_defaults () =
   (* explicit wins *)
   let o = Se.run ~seed:3 ~jobs:1 ~islands:2 cfg op ~trials:64 in
   Alcotest.(check int) "explicit islands" 2 o.Se.islands;
-  (* defaults to the effective job count *)
-  let o = Se.run ~seed:3 ~jobs:2 cfg op ~trials:64 in
-  Alcotest.(check int) "defaults to jobs" 2 o.Se.islands;
+  (* defaults to one island, whatever the job count *)
+  Unix.putenv "IMTP_ISLANDS" "";
+  List.iter
+    (fun jobs ->
+      let o = Se.run ~seed:3 ~jobs cfg op ~trials:64 in
+      Alcotest.(check int)
+        (Printf.sprintf "defaults to 1 at jobs:%d" jobs)
+        1 o.Se.islands)
+    [ 1; 4 ];
   (* IMTP_ISLANDS fills in when no explicit count is given *)
   Unix.putenv "IMTP_ISLANDS" "3";
   let o = Se.run ~seed:3 ~jobs:1 cfg op ~trials:64 in
@@ -867,11 +917,15 @@ let () =
             test_checkpoint_disk_roundtrip;
           Alcotest.test_case "wrong operator rejected" `Quick
             test_resume_wrong_op_rejected;
+          Alcotest.test_case "committed single-island checkpoint resumes"
+            `Quick test_committed_checkpoint_resumes;
         ] );
       ( "islands",
         [
           Alcotest.test_case "islands:4 identical at jobs:1 and jobs:4" `Quick
             test_islands_jobs_equivalence;
+          Alcotest.test_case "default islands identical at jobs:1 and jobs:4"
+            `Quick test_default_jobs_equivalence;
           Alcotest.test_case "migration boundaries deterministic" `Quick
             test_migration_determinism;
           Alcotest.test_case "outcome shape" `Quick test_island_outcome_shape;
