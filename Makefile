@@ -9,7 +9,8 @@ JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 BENCH_DATE := $(shell date +%Y%m%d)
 
 .PHONY: all test check doc bench bench-exec bench-model bench-affine \
-	bench-serve bench-islands bench-graph serve-smoke fuzz clean
+	bench-serve bench-islands bench-graph bench-selftest serve-smoke fuzz \
+	clean
 
 all:
 	dune build @all
@@ -95,6 +96,13 @@ bench-affine:
 # BENCH_<date>.json.
 bench-serve:
 	dune exec bench/main.exe -- --serve-throughput --out BENCH_$(BENCH_DATE).json
+
+# The repository benchmark's own determinism check: each perfbench
+# workload run twice at one seed must give equal per-item digests and
+# modeled_* metrics, and the benchmark must refuse to run under
+# IMTP_SIM_LATENCY_US.  About a minute on a 2-core host.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # Long fuzzing campaign with a date-derived seed (override with
 # FUZZ_SEED=n / FUZZ_CASES=n / JOBS=n).  The seed is printed first so

@@ -646,9 +646,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
              it with the learned model, and forward only the top
              fraction to the simulator.  Selection is a pure function
              of the trial history and the seed: preparation is
-             jobs-independent, ranking is stable, and the one [bits]
-             draw plus per-candidate noise streams mirror the
-             [Engine.batch] contract. *)
+             jobs-independent, ranking is stable, and the noise comes
+             from [Engine.slot_noise], the [Engine.batch] contract. *)
           let prepped =
             Engine.prepare_batch engine ~jobs ?passes ?skip_inputs op
               candidates
@@ -694,7 +693,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
             (* measure in proposal order so the noise-stream indices
                below are independent of the ranking. *)
           in
-          let base = Rng.bits cx.rng in
+          let noise = Engine.slot_noise cx.rng in
           (* Duplicate proposals of one candidate keep only their first
              slot (exactly the set the sequential loop used to measure);
              the simulations then run through the pool, each drawing
@@ -717,8 +716,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
             Pool.map ~jobs
               (fun si ->
                 let i, _, prep = fresh_arr.(sel_arr.(si)) in
-                let noise = Rng.stream ~base ~index:i in
-                Engine.simulate engine ~rng:noise prep)
+                Engine.simulate engine ~rng:(noise i) prep)
               (Array.length sel_arr)
           in
           let measured_now = Hashtbl.create 16 in

@@ -52,16 +52,24 @@ type counters = {
   cost_s : float;
 }
 
+(* The memo table's value for one candidate fingerprint: how far the
+   pipeline got.  A failure at any stage is final; a [Prepared] entry is
+   finished in place when a caller needs its cost stage, so no candidate
+   is lowered twice. *)
+type entry =
+  | Failed of error
+  | Prepared of prepared
+  | Finished of prepared * artifact
+
 type t = {
   cfg : Imtp_upmem.Config.t;
   max_entries : int;
   lock : Mutex.t;
-      (* Guards [artifacts], [prepareds], [lowerings] and [c].  Stage
-         work (sketch, lower, passes, verify, cost) always runs outside
-         the lock, so parallel builds only contend on table lookups and
-         counter bumps. *)
-  artifacts : (string, (artifact, error) result) Hashtbl.t;
-  prepareds : (string, (prepared, error) result) Hashtbl.t;
+      (* Guards [entries], [lowerings] and [c].  Stage work (sketch,
+         lower, passes, verify, cost) always runs outside the lock, so
+         parallel builds only contend on table lookups and counter
+         bumps. *)
+  entries : (string, entry) Hashtbl.t;
   lowerings : (string, (Imtp_tir.Program.t, error) result) Hashtbl.t;
   mutable c : counters;
 }
@@ -87,8 +95,7 @@ let create ?(max_entries = 4096) cfg =
     cfg;
     max_entries;
     lock = Mutex.create ();
-    artifacts = Hashtbl.create 256;
-    prepareds = Hashtbl.create 64;
+    entries = Hashtbl.create 256;
     lowerings = Hashtbl.create 64;
     c = zero_counters;
   }
@@ -281,50 +288,76 @@ let optimize t ?(passes = Pl.all_on) prog =
   stage_passes ~t ~passes t.cfg prog
 
 (* ------------------------------------------------------------------ *)
-(* The memo table.                                                     *)
+(* The memo table: one entry per candidate.                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [count_built:false] caches a result whose construction only finished
-   an already-counted build (the cost stage of a prepared candidate)
-   without double-counting it in [built]. *)
-let remember ?(count_built = true) t table key result =
-  locked t (fun () ->
-      if
-        Hashtbl.length t.artifacts + Hashtbl.length t.prepareds
-        + Hashtbl.length t.lowerings
-        >= t.max_entries
-      then begin
-        Hashtbl.reset t.artifacts;
-        Hashtbl.reset t.prepareds;
-        Hashtbl.reset t.lowerings;
-        t.c <- { t.c with evictions = t.c.evictions + 1 };
-        Obs.incr "engine.cache.evictions"
-      end;
-      Hashtbl.replace table key result;
-      (match result with
-      | Ok _ ->
-          if count_built then begin
-            t.c <- { t.c with built = t.c.built + 1 };
-            Obs.incr "engine.built"
-          end
-      | Error _ ->
-          t.c <- { t.c with failed = t.c.failed + 1 };
-          Obs.incr "engine.failed");
-      result)
+(* What a request needs from a candidate's entry: the cost-free prefix
+   ([prepare]) or the finished artifact ([build], [measure], [batch],
+   [simulate]). *)
+type need = Prefix | Artifact
 
-let lookup t table key =
+let prefix_of = function
+  | Failed e -> Error e
+  | Prepared p | Finished (p, _) -> Ok p
+
+(* [None] until the cost stage has run. *)
+let finished = function
+  | Failed e -> Some (Error e)
+  | Finished (_, a) -> Some (Ok a)
+  | Prepared _ -> None
+
+(* The outcome of an entry resolved for [Artifact], which is never a
+   bare [Prepared]. *)
+let artifact_of e = Option.get (finished e)
+let ok e = Result.is_ok (prefix_of e)
+let serves need e = need = Prefix || Option.is_some (finished e)
+let span_name = function Prefix -> "engine.prepare" | Artifact -> "engine.build"
+
+(* The ledger of one cache probe.  Caller holds the lock. *)
+let count_lookup t ~hit =
+  t.c <- { t.c with lookups = t.c.lookups + 1 };
+  Obs.incr "engine.cache.lookups";
+  if hit then begin
+    t.c <- { t.c with hits = t.c.hits + 1 };
+    Obs.incr "engine.cache.hits"
+  end
+  else begin
+    t.c <- { t.c with misses = t.c.misses + 1 };
+    Obs.incr "engine.cache.misses"
+  end
+
+(* Store one outcome in [table], first resetting both tables when they
+   hold [max_entries] results.  [fresh:false] marks work that only
+   finished an entry already counted in [built].  Caller holds the
+   lock. *)
+let store t table key v ~fresh ~ok =
+  if Hashtbl.length t.entries + Hashtbl.length t.lowerings >= t.max_entries
+  then begin
+    Hashtbl.reset t.entries;
+    Hashtbl.reset t.lowerings;
+    t.c <- { t.c with evictions = t.c.evictions + 1 };
+    Obs.incr "engine.cache.evictions"
+  end;
+  Hashtbl.replace table key v;
+  if not ok then begin
+    t.c <- { t.c with failed = t.c.failed + 1 };
+    Obs.incr "engine.failed"
+  end
+  else if fresh then begin
+    t.c <- { t.c with built = t.c.built + 1 };
+    Obs.incr "engine.built"
+  end
+
+let remember t key ~fresh entry =
   locked t (fun () ->
-      t.c <- { t.c with lookups = t.c.lookups + 1 };
-      Obs.incr "engine.cache.lookups";
-      match Hashtbl.find_opt table key with
-      | Some r ->
-          t.c <- { t.c with hits = t.c.hits + 1 };
-          Obs.incr "engine.cache.hits";
-          Some r
-      | None ->
-          t.c <- { t.c with misses = t.c.misses + 1 };
-          Obs.incr "engine.cache.misses";
-          None)
+      (* A prefix-only build racing a full one must not undo it. *)
+      let keep =
+        match (Hashtbl.find_opt t.entries key, entry) with
+        | Some old, Prepared _ when Option.is_some (finished old) -> old
+        | _ -> entry
+      in
+      store t t.entries key keep ~fresh ~ok:(ok entry));
+  entry
 
 let ( let* ) = Result.bind
 
@@ -338,120 +371,132 @@ let prepare_uncached t ~passes ~options ~verify ~key op params =
   let* () = if verify then stage_verify_program ~t t.cfg program else Ok () in
   Ok { pkey = key; psched = sched; plowered = lowered; pprogram = program }
 
-(* The simulator execution itself. *)
-let cost_prepared t (p : prepared) =
-  let* stats = stage_cost ~t t.cfg p.pprogram in
-  Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
-  Obs.incr ~by:stats.Stats.bytes_d2h "engine.bytes_d2h";
-  Ok
-    {
-      key = p.pkey;
-      sched = p.psched;
-      lowered = p.plowered;
-      program = p.pprogram;
-      stats;
-    }
+(* The simulator execution: run the cost stage on a prepared candidate
+   and remember the finished entry. *)
+let finish t ~fresh (p : prepared) =
+  remember t p.pkey ~fresh
+    (match stage_cost ~t t.cfg p.pprogram with
+    | Error e -> Failed e
+    | Ok stats ->
+        Obs.incr ~by:stats.Stats.bytes_h2d "engine.bytes_h2d";
+        Obs.incr ~by:stats.Stats.bytes_d2h "engine.bytes_d2h";
+        Finished
+          ( p,
+            {
+              key = p.pkey;
+              sched = p.psched;
+              lowered = p.plowered;
+              program = p.pprogram;
+              stats;
+            } ))
 
-let build_uncached t ~passes ~options ~verify ~key op params =
-  let* prepared = prepare_uncached t ~passes ~options ~verify ~key op params in
-  cost_prepared t prepared
+(* How each slot of a request will be satisfied, decided up front in
+   list order under the lock, so the hit/miss ledger and [from_cache]
+   flags are the same no matter how many domains then race on the work:
+   - [Cached e]: the table's entry already serves the request; it is
+     captured here so a mid-batch eviction can't change the answer.
+   - [Work p]: first occurrence of a key the table can't serve; this
+     slot runs the missing stages — only the cost stage when the table
+     already holds the candidate's prefix [p].
+   - [Dup i]: later occurrence of slot [i]'s key; reported as a cache
+     hit (as the sequential walk would) and filled from slot [i]'s
+     result rather than the table, again to be eviction-proof. *)
+type plan = Cached of entry | Work of prepared option | Dup of int
 
-let prepared_of_artifact (a : artifact) =
-  { pkey = a.key; psched = a.sched; plowered = a.lowered; pprogram = a.program }
+let classify t ~need keys =
+  locked t (fun () ->
+      let first = Hashtbl.create 16 in
+      Array.mapi
+        (fun i key ->
+          let slot =
+            match Hashtbl.find_opt t.entries key with
+            | Some e when serves need e -> Cached e
+            | found -> (
+                match Hashtbl.find_opt first key with
+                | Some i0 -> Dup i0
+                | None ->
+                    Hashtbl.add first key i;
+                    Work
+                      (match found with
+                      | Some (Prepared p) -> Some p
+                      | Some _ | None -> None))
+          in
+          count_lookup t ~hit:(match slot with Work _ -> false | _ -> true);
+          slot)
+        keys)
 
-let build_flagged t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
-    params =
-  Obs.span ~name:"engine.build"
+(* Run the stages a [Work] slot lacks and remember the outcome. *)
+let work t ~need ~passes ?skip_inputs ~verify ~key op params = function
+  | Some p -> finish t ~fresh:false p
+  | None -> (
+      let options = candidate_options ?skip_inputs ~passes params in
+      match prepare_uncached t ~passes ~options ~verify ~key op params with
+      | Error e -> remember t key ~fresh:true (Failed e)
+      | Ok p when need = Artifact -> finish t ~fresh:true p
+      | Ok p -> remember t key ~fresh:true (Prepared p))
+
+(* One candidate's [engine.build] / [engine.prepare] span. *)
+let candidate_span need op f =
+  Obs.span ~name:(span_name need)
     ~attrs:[ ("op", Obs.Str op.Op.opname) ]
     (fun () ->
-      let options = candidate_options ?skip_inputs ~passes params in
-      let key = fingerprint ~passes ?skip_inputs ~verify op params in
-      let result, hit =
-        match lookup t t.artifacts key with
-        | Some r -> (r, true)
-        | None ->
-            (remember t t.artifacts key
-               (build_uncached t ~passes ~options ~verify ~key op params),
-             false)
-      in
+      let ((e, hit) as r) = f () in
       Obs.add_attr "hit" (Obs.Bool hit);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok result));
-      (result, hit))
+      Obs.add_attr "ok" (Obs.Bool (ok e));
+      r)
 
-let build t ?passes ?skip_inputs ?verify op params =
-  fst (build_flagged t ?passes ?skip_inputs ?verify op params)
-
-let find t ?passes ?skip_inputs ?verify op params =
-  Hashtbl.find_opt t.artifacts (fingerprint ?passes ?skip_inputs ?verify op params)
+let resolve t ~need ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op
+    params =
+  candidate_span need op (fun () ->
+      let key = fingerprint ~passes ?skip_inputs ~verify op params in
+      match (classify t ~need [| key |]).(0) with
+      | Cached e -> (e, true)
+      | Work resume ->
+          ( work t ~need ~passes ?skip_inputs ~verify ~key op params resume,
+            false )
+      | Dup _ -> assert false (* a lone key has no earlier slot *))
 
 let noisy ?rng base =
   match rng with
   | None -> base
-  | Some r -> base *. (1. +. (noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)))
+  | Some r ->
+      base *. (1. +. (noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)))
+
+let measurement ?rng from_cache artifact =
+  let latency_s = noisy ?rng (Stats.total_s artifact.stats) in
+  { artifact; latency_s; from_cache }
+
+let build t ?passes ?skip_inputs ?verify op params =
+  let e, _ = resolve t ~need:Artifact ?passes ?skip_inputs ?verify op params in
+  artifact_of e
 
 let measure t ?rng ?passes ?skip_inputs ?verify op params =
-  match build_flagged t ?passes ?skip_inputs ?verify op params with
-  | Error e, _ -> Error e
-  | Ok artifact, from_cache ->
-      let latency_s = noisy ?rng (Stats.total_s artifact.stats) in
-      Ok { artifact; latency_s; from_cache }
+  let e, from_cache =
+    resolve t ~need:Artifact ?passes ?skip_inputs ?verify op params
+  in
+  Result.map (measurement ?rng from_cache) (artifact_of e)
 
-(* --- the prepared (cost-free) pipeline prefix ----------------------- *)
-
-(* One locked probe across both tables: a full artifact supersedes a
-   prepared entry, so either serves a prepare lookup as a hit. *)
-let lookup_prepared t key =
-  locked t (fun () ->
-      t.c <- { t.c with lookups = t.c.lookups + 1 };
-      Obs.incr "engine.cache.lookups";
-      let found =
-        match Hashtbl.find_opt t.artifacts key with
-        | Some r -> Some (Result.map prepared_of_artifact r)
-        | None -> Hashtbl.find_opt t.prepareds key
-      in
-      (match found with
-      | Some _ ->
-          t.c <- { t.c with hits = t.c.hits + 1 };
-          Obs.incr "engine.cache.hits"
-      | None ->
-          t.c <- { t.c with misses = t.c.misses + 1 };
-          Obs.incr "engine.cache.misses");
-      found)
-
-let prepare t ?(passes = Pl.all_on) ?skip_inputs ?(verify = true) op params =
-  Obs.span ~name:"engine.prepare"
-    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-    (fun () ->
-      let options = candidate_options ?skip_inputs ~passes params in
-      let key = fingerprint ~passes ?skip_inputs ~verify op params in
-      let result, hit =
-        match lookup_prepared t key with
-        | Some r -> (r, true)
-        | None ->
-            (remember t t.prepareds key
-               (prepare_uncached t ~passes ~options ~verify ~key op params),
-             false)
-      in
-      Obs.add_attr "hit" (Obs.Bool hit);
-      Obs.add_attr "ok" (Obs.Bool (Result.is_ok result));
-      result)
+let prepare t ?passes ?skip_inputs ?verify op params =
+  let e, _ = resolve t ~need:Prefix ?passes ?skip_inputs ?verify op params in
+  prefix_of e
 
 let simulate t ?rng (p : prepared) =
   Obs.span ~name:"engine.simulate" (fun () ->
-      let result, from_cache =
-        match lookup t t.artifacts p.pkey with
-        | Some r -> (r, true)
-        | None ->
-            ( remember ~count_built:false t t.artifacts p.pkey
-                (cost_prepared t p),
-              false )
+      let e, from_cache =
+        match (classify t ~need:Artifact [| p.pkey |]).(0) with
+        | Cached e -> (e, true)
+        | Work _ | Dup _ -> (finish t ~fresh:false p, false)
       in
       Obs.add_attr "hit" (Obs.Bool from_cache);
-      match result with
-      | Error e -> Error e
-      | Ok artifact ->
-          let latency_s = noisy ?rng (Stats.total_s artifact.stats) in
-          Ok { artifact; latency_s; from_cache })
+      Result.map (measurement ?rng from_cache) (artifact_of e))
+
+let find t ?passes ?skip_inputs ?verify op params =
+  let key = fingerprint ?passes ?skip_inputs ?verify op params in
+  locked t (fun () -> Option.bind (Hashtbl.find_opt t.entries key) finished)
+
+let slot_noise rng =
+  let base = Rng.bits rng in
+  fun index -> Rng.stream ~base ~index
 
 (* Functional execution of a built program.  All hot-path executions
    (CLI runs, graph nodes, the core [Imtp.execute]) funnel through
@@ -461,132 +506,70 @@ let execute prog ~inputs =
     ~attrs:[ ("executor", Obs.Str (Imtp_tir.Exec.backend_name ())) ]
     (fun () -> Imtp_tir.Exec.run_counted prog ~inputs)
 
-(* How each batch slot will be satisfied, decided up front in list
-   order so the hit/miss ledger and [from_cache] flags are the same no
-   matter how many domains then race on the builds:
-   - [Cached r]: the key was already in the table when the batch
-     started; its result is captured at classification time so a
-     mid-batch eviction can't change the answer.
-   - [Build]: first occurrence of an uncached key; this slot does the
-     work.
-   - [Dup i]: later occurrence of slot [i]'s key; reported as a cache
-     hit (as the sequential walk would) and filled from slot [i]'s
-     result rather than the table, again to be eviction-proof. *)
-type 'a plan = Cached of 'a | Build | Dup of int
+(* A whole generation: classify every slot, run the [Work] slots across
+   up to [jobs] domains, and return each candidate with its entry and
+   [from_cache] flag, in candidate order. *)
+let resolve_batch t ~span ~need ?jobs ?(passes = Pl.all_on) ?skip_inputs
+    ?(verify = true) op candidates =
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let cands = Array.of_list candidates in
+  let n = Array.length cands in
+  Obs.span ~name:span
+    ~attrs:
+      [
+        ("op", Obs.Str op.Op.opname);
+        ("size", Obs.Int n);
+        ("jobs", Obs.Int jobs);
+      ]
+    (fun () ->
+      let parent = Obs.current_span_id () in
+      let keys =
+        Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
+      in
+      let plan = classify t ~need keys in
+      let run i =
+        match plan.(i) with
+        | Cached _ | Dup _ -> None
+        | Work resume ->
+            Obs.with_ambient_parent parent (fun () ->
+                candidate_span need op (fun () ->
+                    ( work t ~need ~passes ?skip_inputs ~verify ~key:keys.(i)
+                        op cands.(i) resume,
+                      false )))
+            |> fst |> Option.some
+      in
+      let worked, util = Pool.map_stats ~jobs run n in
+      let misses =
+        Array.fold_left (fun a w -> a + Bool.to_int (Option.is_some w)) 0 worked
+      in
+      Obs.add_attr "hits" (Obs.Int (n - misses));
+      Obs.add_attr "misses" (Obs.Int misses);
+      Obs.add_attr "domains_used" (Obs.Int (Array.length util));
+      Obs.add_attr "utilization"
+        (Obs.Str
+           (String.concat ","
+              (Array.to_list util
+              |> List.map (fun (tasks, busy) ->
+                     Printf.sprintf "%d:%.4fs" tasks busy))));
+      List.mapi
+        (fun i p ->
+          match plan.(i) with
+          | Cached e -> (p, e, true)
+          | Work _ -> (p, Option.get worked.(i), false)
+          | Dup i0 -> (p, Option.get worked.(i0), true))
+        candidates)
 
 let batch t ?jobs ?rng ?passes ?skip_inputs ?verify op candidates =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let passes = Option.value passes ~default:Pl.all_on in
-  let verify = Option.value verify ~default:true in
-  let n = List.length candidates in
   (* One draw per batch: the caller's rng advances identically whatever
      [jobs] is, and candidate [i]'s noise comes from its own stream. *)
-  let base = Option.map Rng.bits rng in
+  let noise = Option.map slot_noise rng in
   let c0 = counters t in
   let results =
-    Obs.span ~name:"engine.batch"
-      ~attrs:
-        [
-          ("op", Obs.Str op.Op.opname);
-          ("size", Obs.Int n);
-          ("jobs", Obs.Int jobs);
-        ]
-      (fun () ->
-        let parent = Obs.current_span_id () in
-        let cands = Array.of_list candidates in
-        let keys =
-          Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
-        in
-        let plan =
-          locked t (fun () ->
-              let first = Hashtbl.create (max 16 n) in
-              Array.mapi
-                (fun i key ->
-                  t.c <- { t.c with lookups = t.c.lookups + 1 };
-                  match Hashtbl.find_opt t.artifacts key with
-                  | Some r ->
-                      t.c <- { t.c with hits = t.c.hits + 1 };
-                      Cached r
-                  | None -> (
-                      match Hashtbl.find_opt first key with
-                      | Some i0 ->
-                          t.c <- { t.c with hits = t.c.hits + 1 };
-                          Dup i0
-                      | None ->
-                          Hashtbl.add first key i;
-                          t.c <- { t.c with misses = t.c.misses + 1 };
-                          Build))
-                keys)
-        in
-        let hits =
-          Array.fold_left
-            (fun a -> function Cached _ | Dup _ -> a + 1 | Build -> a)
-            0 plan
-        in
-        let builds = n - hits in
-        if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
-        if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
-        if builds > 0 then Obs.incr ~by:builds "engine.cache.misses";
-        let built : (artifact, error) result option array = Array.make n None in
-        let run i =
-          match plan.(i) with
-          | Cached _ | Dup _ -> ()
-          | Build ->
-              Obs.with_ambient_parent parent (fun () ->
-                  Obs.span ~name:"engine.build"
-                    ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-                    (fun () ->
-                      let p = cands.(i) in
-                      let options = candidate_options ?skip_inputs ~passes p in
-                      let r =
-                        build_uncached t ~passes ~options ~verify ~key:keys.(i)
-                          op p
-                      in
-                      let r = remember t t.artifacts keys.(i) r in
-                      Obs.add_attr "hit" (Obs.Bool false);
-                      Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
-                      built.(i) <- Some r))
-        in
-        let (_ : unit array), util = Pool.map_stats ~jobs run n in
-        let result_of i =
-          match plan.(i) with
-          | Cached r -> (r, true)
-          | Build -> (Option.get built.(i), false)
-          | Dup i0 -> (Option.get built.(i0), true)
-        in
-        let results =
-          List.mapi
-            (fun i p ->
-              let m =
-                match result_of i with
-                | Error e, _ -> Error e
-                | Ok artifact, from_cache ->
-                    let base_l = Stats.total_s artifact.stats in
-                    let latency_s =
-                      match base with
-                      | None -> base_l
-                      | Some b ->
-                          let r = Rng.stream ~base:b ~index:i in
-                          base_l
-                          *. (1.
-                             +. noise_amplitude *. ((2. *. Rng.float r 1.) -. 1.)
-                             )
-                    in
-                    Ok { artifact; latency_s; from_cache }
-              in
-              (p, m))
-            candidates
-        in
-        Obs.add_attr "hits" (Obs.Int hits);
-        Obs.add_attr "misses" (Obs.Int builds);
-        Obs.add_attr "domains_used" (Obs.Int (Array.length util));
-        Obs.add_attr "utilization"
-          (Obs.Str
-             (String.concat ","
-                (Array.to_list util
-                |> List.map (fun (tasks, busy) ->
-                       Printf.sprintf "%d:%.4fs" tasks busy))));
-        results)
+    resolve_batch t ~span:"engine.batch" ~need:Artifact ?jobs ?passes
+      ?skip_inputs ?verify op candidates
+    |> List.mapi (fun i (p, e, from_cache) ->
+           let rng = Option.map (fun slot -> slot i) noise in
+           (p, Result.map (measurement ?rng from_cache) (artifact_of e)))
   in
   let c1 = counters t in
   Log.debug (fun m ->
@@ -604,100 +587,24 @@ let batch t ?jobs ?rng ?passes ?skip_inputs ?verify op candidates =
         ((c1.cost_s -. c0.cost_s) *. 1e3));
   results
 
-(* Batched prepare: the same ahead-of-time hit/build/dup classification
-   as [batch] (so hit/miss ledgers and results are independent of the
-   job count), over the combined artifact+prepared tables, with no rng
-   involvement at all — ranking a population must not disturb the
-   caller's noise stream. *)
+(* Draws nothing from any rng: ranking a population must not disturb
+   the caller's noise stream. *)
 let prepare_batch t ?jobs ?passes ?skip_inputs ?verify op candidates =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let passes = Option.value passes ~default:Pl.all_on in
-  let verify = Option.value verify ~default:true in
-  let n = List.length candidates in
-  Obs.span ~name:"engine.prepare_batch"
-    ~attrs:
-      [
-        ("op", Obs.Str op.Op.opname);
-        ("size", Obs.Int n);
-        ("jobs", Obs.Int jobs);
-      ]
-    (fun () ->
-      let parent = Obs.current_span_id () in
-      let cands = Array.of_list candidates in
-      let keys =
-        Array.map (fun p -> fingerprint ~passes ?skip_inputs ~verify op p) cands
-      in
-      let plan =
-        locked t (fun () ->
-            let first = Hashtbl.create (max 16 n) in
-            Array.mapi
-              (fun i key ->
-                t.c <- { t.c with lookups = t.c.lookups + 1 };
-                let cached =
-                  match Hashtbl.find_opt t.artifacts key with
-                  | Some r -> Some (Result.map prepared_of_artifact r)
-                  | None -> Hashtbl.find_opt t.prepareds key
-                in
-                match cached with
-                | Some r ->
-                    t.c <- { t.c with hits = t.c.hits + 1 };
-                    Cached r
-                | None -> (
-                    match Hashtbl.find_opt first key with
-                    | Some i0 ->
-                        t.c <- { t.c with hits = t.c.hits + 1 };
-                        Dup i0
-                    | None ->
-                        Hashtbl.add first key i;
-                        t.c <- { t.c with misses = t.c.misses + 1 };
-                        Build))
-              keys)
-      in
-      let hits =
-        Array.fold_left
-          (fun a -> function Cached _ | Dup _ -> a + 1 | Build -> a)
-          0 plan
-      in
-      let builds = n - hits in
-      if n > 0 then Obs.incr ~by:n "engine.cache.lookups";
-      if hits > 0 then Obs.incr ~by:hits "engine.cache.hits";
-      if builds > 0 then Obs.incr ~by:builds "engine.cache.misses";
-      let built : (prepared, error) result option array = Array.make n None in
-      let run i =
-        match plan.(i) with
-        | Cached _ | Dup _ -> ()
-        | Build ->
-            Obs.with_ambient_parent parent (fun () ->
-                Obs.span ~name:"engine.prepare"
-                  ~attrs:[ ("op", Obs.Str op.Op.opname) ]
-                  (fun () ->
-                    let p = cands.(i) in
-                    let options = candidate_options ?skip_inputs ~passes p in
-                    let r =
-                      prepare_uncached t ~passes ~options ~verify ~key:keys.(i)
-                        op p
-                    in
-                    let r = remember t t.prepareds keys.(i) r in
-                    Obs.add_attr "hit" (Obs.Bool false);
-                    Obs.add_attr "ok" (Obs.Bool (Result.is_ok r));
-                    built.(i) <- Some r))
-      in
-      let (_ : unit array), _util = Pool.map_stats ~jobs run n in
-      Obs.add_attr "hits" (Obs.Int hits);
-      Obs.add_attr "misses" (Obs.Int builds);
-      List.mapi
-        (fun i p ->
-          let r =
-            match plan.(i) with
-            | Cached r -> r
-            | Build -> Option.get built.(i)
-            | Dup i0 -> Option.get built.(i0)
-          in
-          (p, r))
-        candidates)
+  resolve_batch t ~span:"engine.prepare_batch" ~need:Prefix ?jobs ?passes
+    ?skip_inputs ?verify op candidates
+  |> List.map (fun (p, e, _) -> (p, prefix_of e))
 
 let lower_keyed t ~key thunk =
-  match lookup t t.lowerings key with
+  let cached =
+    locked t (fun () ->
+        let r = Hashtbl.find_opt t.lowerings key in
+        count_lookup t ~hit:(Option.is_some r);
+        r)
+  in
+  match cached with
   | Some r -> r
   | None ->
-      remember t t.lowerings key (timed (Some t) ~stage:"lower" add_lower thunk)
+      let r = timed (Some t) ~stage:"lower" add_lower thunk in
+      locked t (fun () ->
+          store t t.lowerings key r ~fresh:true ~ok:(Result.is_ok r));
+      r

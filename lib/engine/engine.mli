@@ -13,17 +13,22 @@
     sketch parameters, the pass configuration and the lowering options,
     so repeated candidates (common under mutation-based evolutionary
     search) are served from cache instead of being re-lowered and
-    re-costed.  Failures are typed (and cached too, so a re-proposed
-    invalid candidate is rejected without recompilation).
+    re-costed.  The table holds one entry per candidate: its cost-free
+    prefix ({!prepare}) and, once the cost stage has run, the finished
+    artifact — so a prepared candidate that is later built, measured,
+    batched or simulated only pays for the cost stage.  Failures are
+    typed (and cached too, so a re-proposed invalid candidate is
+    rejected without recompilation).
 
     {2 Thread safety and parallel batches}
 
-    An engine is domain-safe: one mutex guards the memo tables and the
-    counters, and all stage work runs outside it, so {!batch} can
-    dispatch candidates across a {!Pool} of worker domains
-    ([?jobs], default {!Pool.default_jobs}).  Parallelism never changes
-    answers: a batch classifies every slot up front (cache hit,
-    first build of a key, or duplicate of an earlier slot), draws one
+    An engine is domain-safe: one mutex guards the candidate table, the
+    {!lower_keyed} table and the counters, and all stage work runs
+    outside it, so {!batch} can dispatch candidates across a {!Pool} of
+    worker domains ([?jobs], default {!Pool.default_jobs}).
+    Parallelism never changes answers: a batch classifies every slot
+    up front (cache hit, first build of a key, or duplicate of an
+    earlier slot), draws one
     value from the caller's [rng] and gives candidate [i] the
     derived stream [Rng.stream ~base ~index:i], so results, order,
     latencies, [from_cache] flags and the integer counters are
@@ -84,7 +89,9 @@ type counters = {
   hits : int;
   misses : int;
   evictions : int;  (** table resets after exceeding [max_entries]. *)
-  built : int;  (** artifacts (or prepared prefixes) constructed. *)
+  built : int;
+      (** candidates whose prefix was constructed: finishing a prepared
+          candidate's cost stage does not count again. *)
   failed : int;  (** typed errors constructed (and cached). *)
   costed : int;
       (** simulator executions: runs of the cost stage.  Measurement
@@ -103,8 +110,10 @@ type t
     run-local deduplication, or share one across runs to reuse builds. *)
 
 val create : ?max_entries:int -> Imtp_upmem.Config.t -> t
-(** [max_entries] (default 4096) bounds the memo table; when exceeded
-    the table is reset (counted in [evictions]) rather than grown. *)
+(** [max_entries] (default 4096) bounds the cache: it counts
+    candidates (one entry each, whether only prepared or finished)
+    plus {!lower_keyed} results.  When exceeded the cache is reset
+    (counted in [evictions]) rather than grown. *)
 
 val config : t -> Imtp_upmem.Config.t
 
@@ -189,7 +198,8 @@ val find :
   Imtp_workload.Op.t ->
   Sketch.params ->
   (artifact, error) result option
-(** Pure cache inspection: no build, no counter updates. *)
+(** Pure cache inspection under the engine lock: no build, no counter
+    updates.  [None] also while the candidate is only prepared. *)
 
 val measure :
   t ->
@@ -204,6 +214,15 @@ val measure :
     multiplicative noise per call — also on cache hits, modelling
     run-to-run variation of a real re-measurement — while the cached
     [stats] stay bit-identical. *)
+
+val slot_noise : Rng.t -> int -> Rng.t
+(** [slot_noise rng] draws one value from [rng] and returns the map
+    from a slot index [i] to that slot's noise stream
+    [Rng.stream ~base ~index:i].  This is the per-slot noise contract
+    of {!batch}, shared with any caller that measures a generation
+    slot by slot (the gated search's {!simulate} loop): the caller's
+    stream advances by exactly one draw, and slot [i]'s noise does not
+    depend on which domain measures it, or when. *)
 
 val execute :
   Imtp_tir.Program.t ->
@@ -250,10 +269,13 @@ val prepare :
   Imtp_workload.Op.t ->
   Sketch.params ->
   (prepared, error) result
-(** {!build} without the cost stage, cached under the same fingerprint
-    in a separate prepared table.  A full artifact already in the cache
-    serves a prepare lookup as a hit (its program is identical), so
-    cache-hit and fresh-built candidates yield bit-identical features. *)
+(** {!build} without the cost stage.  The prefix is the candidate's
+    table entry under the same fingerprint, which a later {!build},
+    {!measure}, {!batch} or {!simulate} finishes in place (a cache
+    miss that runs only the cost stage and does not count in [built]).
+    A finished candidate serves a prepare lookup as a hit with the very
+    program it was costed on, so cache-hit and fresh-built candidates
+    yield bit-identical features. *)
 
 val prepare_batch :
   t ->
@@ -273,9 +295,10 @@ val prepare_batch :
 val simulate :
   t -> ?rng:Rng.t -> prepared -> (measurement, error) result
 (** Run the cost stage on a prepared candidate (or serve the finished
-    artifact from cache) and apply the measurement objective, with the
-    same ±2 % noise semantics as {!measure}.  Each uncached call is one
-    simulator execution, counted in [counters.costed]. *)
+    artifact from cache, also when {!build} finished it) and apply the
+    measurement objective, with the same ±2 % noise semantics as
+    {!measure}.  Each uncached call is one simulator execution, counted
+    in [counters.costed]. *)
 
 val lower_keyed :
   t ->

@@ -36,7 +36,7 @@ val bits : t -> int
 val stream : base:int -> index:int -> t
 (** The [index]-th substream of a base seed: a deterministic function
     of [(base, index)] alone, independent of how many other streams
-    were derived.  {!Engine.batch} draws one {!bits} value per batch
-    and gives candidate [i] the stream [~base ~index:i], so
+    were derived.  {!Engine.slot_noise} draws one {!bits} value per
+    batch and gives candidate [i] the stream [~base ~index:i], so
     per-candidate measurement noise is identical whether the batch runs
     on one domain or many. *)

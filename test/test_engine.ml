@@ -104,6 +104,30 @@ let test_find_is_pure () =
         (E.fingerprint op small_params) a.E.key
   | _ -> Alcotest.fail "built artifact not findable"
 
+(* One entry per candidate: a prepared candidate is finished in place
+   whichever entry point then asks for its artifact, never lowered or
+   costed a second time. *)
+let test_prepare_then_build_lowers_once () =
+  let op = Ops.mtv 64 128 in
+  let e = E.create cfg in
+  let prep = Result.get_ok (E.prepare e op small_params) in
+  let lower_s = (E.counters e).E.lower_s in
+  let a = Result.get_ok (E.build e op small_params) in
+  Alcotest.(check bool) "artifact keeps the prepared program" true
+    (a.E.program = prep.E.pprogram);
+  Alcotest.(check bool) "measure hits" true
+    (Result.get_ok (E.measure e op small_params)).E.from_cache;
+  (match E.batch e ~jobs:1 op [ small_params ] with
+  | [ (_, Ok m) ] -> Alcotest.(check bool) "batch hits" true m.E.from_cache
+  | _ -> Alcotest.fail "batch lost the candidate");
+  let c = E.counters e in
+  Alcotest.(check int) "built once" 1 c.E.built;
+  Alcotest.(check int) "costed once" 1 c.E.costed;
+  Alcotest.(check (float 0.)) "lowered once" lower_s c.E.lower_s;
+  let m = Result.get_ok (E.simulate e prep) in
+  Alcotest.(check bool) "simulate after build hits" true m.E.from_cache;
+  Alcotest.(check int) "simulate costs nothing more" 1 (E.counters e).E.costed
+
 let test_error_to_string_prefixes () =
   Alcotest.(check string) "lower" "lower: boom" (E.error_to_string (E.Lower_failed "boom"));
   Alcotest.(check string) "cost" "cost: boom" (E.error_to_string (E.Cost_failed "boom"));
@@ -321,6 +345,8 @@ let () =
           Alcotest.test_case "find is pure" `Quick test_find_is_pure;
           Alcotest.test_case "error rendering" `Quick test_error_to_string_prefixes;
           Alcotest.test_case "eviction" `Quick test_eviction_resets_table;
+          Alcotest.test_case "prepare then build lowers once" `Quick
+            test_prepare_then_build_lowers_once;
         ] );
       ( "batch",
         [

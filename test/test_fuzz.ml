@@ -76,6 +76,17 @@ let test_case_of_seed_deterministic () =
       Alcotest.(check int) "same input seed" a.Oracle.input_seed b.Oracle.input_seed
   | _ -> Alcotest.fail "case 3 of the campaign seed should lower"
 
+(* The seed alone determines a campaign: every field but the shared
+   engine's cache ledger is the same at one worker domain and at four. *)
+let test_campaign_jobs_independent () =
+  let run jobs = Fz.run ~jobs ~seed:campaign_seed ~cases:12 ~shrink:false () in
+  let a = run 1 and b = run 4 in
+  Alcotest.(check int) "cases" a.Fz.cases b.Fz.cases;
+  Alcotest.(check int) "rejected" a.Fz.rejected b.Fz.rejected;
+  Alcotest.(check int) "configs_checked" a.Fz.configs_checked b.Fz.configs_checked;
+  Alcotest.(check bool) "coverage" true (a.Fz.coverage = b.Fz.coverage);
+  Alcotest.(check bool) "failures" true (a.Fz.failures = b.Fz.failures)
+
 (* --- oracle rejection path -------------------------------------------- *)
 
 let test_oracle_rejects_invalid () =
@@ -295,6 +306,8 @@ let () =
           Alcotest.test_case "primitive coverage" `Quick
             test_campaign_primitive_coverage;
           Alcotest.test_case "deterministic" `Quick test_case_of_seed_deterministic;
+          Alcotest.test_case "jobs:1 equals jobs:4" `Quick
+            test_campaign_jobs_independent;
         ] );
       ( "oracle",
         [
