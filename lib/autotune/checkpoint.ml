@@ -5,11 +5,12 @@
    — never sees a half-written checkpoint: the previous one survives
    until the rename commits. *)
 
-(* v2: island-aware checkpoints.  The magic must move in lockstep with
-   Search.checkpoint_format — Marshal is not layout-tagged, so reading
-   a v1 payload as the v2 type would be memory-unsafe, and the magic
-   check is what turns that into a clean error. *)
-let magic = "imtp-checkpoint-v2\n"
+(* The magic carries Search.checkpoint_format: Marshal is not
+   layout-tagged, so reading a payload of another format as this
+   build's type would be memory-unsafe, and the magic check is what
+   turns that into a clean error before anything is unmarshalled. *)
+let magic_prefix = "imtp-checkpoint-v"
+let magic = Printf.sprintf "%s%d\n" magic_prefix Search.checkpoint_format
 
 let save path (ck : Search.checkpoint) =
   let dir = Filename.dirname path in
@@ -36,9 +37,15 @@ let load path : (Search.checkpoint, string) result =
             let got = really_input_string ic (String.length magic) in
             if got <> magic then
               Error
-                (Printf.sprintf
-                   "%s: not an imtp checkpoint (expected magic %S)" path
-                   (String.trim magic))
+                (if String.starts_with ~prefix:magic_prefix got then
+                   Printf.sprintf
+                     "%s: checkpoint from another format (expected magic \
+                      %S); remove the file to start afresh"
+                     path (String.trim magic)
+                 else
+                   Printf.sprintf
+                     "%s: not an imtp checkpoint (expected magic %S)" path
+                     (String.trim magic))
             else begin
               let ck : Search.checkpoint = Marshal.from_channel ic in
               (* Forces the format/op sanity checks that Search.run

@@ -4,6 +4,8 @@ module Simplify = Imtp_tir.Simplify
 module Var = Imtp_tir.Var
 module Cost = Imtp_tir.Cost
 module Obs = Imtp_obs.Obs
+module Sketch = Imtp_engine.Sketch
+module Op = Imtp_workload.Op
 
 (* ------------------------------------------------------------------ *)
 (* Feature extraction: one cheap analytic walk over lowered TIR.       *)
@@ -144,12 +146,39 @@ let features (p : Program.t) =
   |]
 
 (* ------------------------------------------------------------------ *)
+(* Schedule-parameter features: ranking mutants before lowering.       *)
+(* ------------------------------------------------------------------ *)
+
+let schedule_dim = 11
+
+let schedule_features op (p : Sketch.params) =
+  let log2 x = log (float_of_int (max 1 x)) /. log 2. in
+  let work = Op.total_flops op in
+  let dpus = p.Sketch.spatial_dpus * p.Sketch.reduction_dpus in
+  [|
+    1.;
+    log2 p.Sketch.spatial_dpus;
+    log2 p.Sketch.reduction_dpus;
+    log2 p.Sketch.tasklets;
+    log2 p.Sketch.cache_elems;
+    log2 p.Sketch.rows_per_tasklet;
+    (if p.Sketch.unroll_inner then 1. else 0.);
+    log2 p.Sketch.host_threads;
+    (if Sketch.uses_rfactor p then 1. else 0.);
+    log (1. +. (work /. float_of_int (max 1 dpus))) /. log 2.;
+    log2 (p.Sketch.tasklets * p.Sketch.cache_elems);
+  |]
+
+(* ------------------------------------------------------------------ *)
 (* Online ridge regression on log-latency.                             *)
 (* ------------------------------------------------------------------ *)
 
+let min_samples = 8
+
 type t = {
+  dim : int;
   lambda : float;
-  min_samples : int;
+  holdout : bool;  (* score each trained observation before it joins *)
   xtx : float array array;
   xty : float array;
   mutable n : int;
@@ -158,10 +187,11 @@ type t = {
   mutable err_n : int;
 }
 
-let create ?(lambda = 1e-2) ?(min_samples = 8) () =
+let make ~dim ~holdout ?(lambda = 1e-2) () =
   {
+    dim;
     lambda;
-    min_samples;
+    holdout;
     xtx = Array.make_matrix dim dim 0.;
     xty = Array.make dim 0.;
     n = 0;
@@ -170,23 +200,23 @@ let create ?(lambda = 1e-2) ?(min_samples = 8) () =
     err_n = 0;
   }
 
+let create = make ~dim ~holdout:true
+let create_schedule = make ~dim:schedule_dim ~holdout:false
+
 let copy t =
   {
-    lambda = t.lambda;
-    min_samples = t.min_samples;
+    t with
     xtx = Array.map Array.copy t.xtx;
     xty = Array.copy t.xty;
-    n = t.n;
     weights = Option.map Array.copy t.weights;
-    err_sum = t.err_sum;
-    err_n = t.err_n;
   }
 
-let trained t = t.n >= t.min_samples
+let trained t = t.n >= min_samples
 let sample_count t = t.n
 
 (* (XtX + λI) w = Xty by Gaussian elimination with partial pivoting. *)
 let solve t =
+  let dim = t.dim in
   let a = Array.init dim (fun i -> Array.copy t.xtx.(i)) in
   let b = Array.copy t.xty in
   for i = 0 to dim - 1 do
@@ -231,7 +261,7 @@ let predict_log t x =
   else begin
     let w = weights t in
     let acc = ref 0. in
-    for i = 0 to dim - 1 do
+    for i = 0 to t.dim - 1 do
       acc := !acc +. (w.(i) *. x.(i))
     done;
     !acc
@@ -243,14 +273,14 @@ let observe t x y =
   let ly = log (Float.max 1e-12 y) in
   (* Ground-truth the running prediction error before the sample joins
      the training set (a pure holdout residual). *)
-  if trained t then begin
+  if t.holdout && trained t then begin
     let err = Float.abs (predict_log t x -. ly) in
     t.err_sum <- t.err_sum +. err;
     t.err_n <- t.err_n + 1;
     Obs.set_gauge "cost_learn.mean_abs_log_err" (t.err_sum /. float_of_int t.err_n)
   end;
-  for i = 0 to dim - 1 do
-    for j = 0 to dim - 1 do
+  for i = 0 to t.dim - 1 do
+    for j = 0 to t.dim - 1 do
       t.xtx.(i).(j) <- t.xtx.(i).(j) +. (x.(i) *. x.(j))
     done;
     t.xty.(i) <- t.xty.(i) +. (x.(i) *. ly)
@@ -270,13 +300,13 @@ let select_count ~ratio n =
   else max 1 (int_of_float (ceil (ratio *. float_of_int n)))
 
 let rank t xs =
-  let scored =
-    List.mapi (fun i x -> (i, predict_log t x)) xs
-  in
+  let preds = Array.of_list (List.map (predict_log t) xs) in
   (* Stable ascending order: ties (and the untrained model's uniform
      +inf) keep proposal order, so gating is a pure function of the
      trial history and the seed. *)
-  List.stable_sort
-    (fun (_, a) (_, b) -> Float.compare a b)
-    scored
-  |> List.map fst
+  let order =
+    List.stable_sort
+      (fun a b -> Float.compare preds.(a) preds.(b))
+      (List.init (Array.length preds) Fun.id)
+  in
+  (order, Array.map exp preds)

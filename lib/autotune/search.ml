@@ -53,38 +53,56 @@ type outcome = {
 (* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything one island's loop mutates, snapshotted at a rendezvous
-   boundary.  All fields are plain data (no closures), so a checkpoint
-   marshals to disk as-is ({!Checkpoint}); [Rng.t] serializes its exact
-   draw position, which is what makes resumption bit-identical.  The
-   engine's memo tables are deliberately NOT part of the state: cached
-   artifacts are a pure function of their candidate, so a resumed run
-   on a cold cache rebuilds the same values — only the cache-ledger
-   fields of the outcome ([cache_hits], [measured_trials]) reflect the
-   executions this process actually paid for. *)
-type island_state = {
-  il_island : int;
-  il_trials : int;  (* this island's trial budget *)
-  il_rng : Rng.t;
-  il_model : Cost_model.t;
-  il_seen : (Sketch.params, unit) Hashtbl.t;
-  il_skipped_seen : (Sketch.params, unit) Hashtbl.t;
-  il_history : record list;  (* newest first, as the loop keeps it *)
-  il_best : Measure.result option;
-  il_invalid : int;
-  il_rejections : (string, int) Hashtbl.t;
-  il_measured : int;
-  il_skipped : int;
-  il_trial : int;
-  il_population : (Sketch.params * float) list;
-  il_generations : int;
-  il_migrations : int;
-  il_done : bool;  (* trial budget exhausted *)
-  il_migrated : bool;
-      (* whether the migration of the snapshot's boundary has already
-         been applied to [il_population]; a resumed island replays the
-         migration when this is false. *)
+(* The mutable working state of one island; a run keeps [k] of these.
+   All fields are plain data (no closures), so a deep copy ({!copy_ctx})
+   is a checkpoint snapshot that marshals to disk as-is
+   ({!Checkpoint}); [Rng.t] serializes its exact draw position, which
+   is what makes resumption bit-identical.  The engine's memo tables
+   are deliberately NOT part of the state: cached artifacts are a pure
+   function of their candidate, so a resumed run on a cold cache
+   rebuilds the same values — only the cache-ledger fields of the
+   outcome ([cache_hits], [measured_trials]) reflect the executions
+   this process actually paid for. *)
+type island_ctx = {
+  ix : int;
+  ix_trials : int;
+  rng : Rng.t;
+  model : Cost_learn.t;  (* schedule features: ranks mutants *)
+  mutable tir : Cost_learn.t;
+      (* TIR features: gates the simulator.  The island's working copy
+         of the model shared by all islands; in a checkpoint, the
+         boundary's merged model. *)
+  seen : (Sketch.params, unit) Hashtbl.t;
+  skipped_seen : (Sketch.params, unit) Hashtbl.t;
+  mutable history : record list;  (* newest first *)
+  mutable best : Measure.result option;
+  mutable invalid : int;
+  rejections : (string, int) Hashtbl.t;
+  mutable measured : int;
+  mutable skipped : int;
+  mutable trial : int;
+  mutable population : (Sketch.params * float) list;
+  mutable generations : int;
+  mutable migrations : int;
+  mutable epoch_obs : (float array * float) list;
+      (* newest first: (features, latency) observed since the last
+         model merge — published at the next boundary (gated). *)
+  mutable done_ : bool;
 }
+
+(* A deep copy of an island's state.  The epoch's observations are left
+   out: a snapshot is taken when the island publishes them. *)
+let copy_ctx cx =
+  {
+    cx with
+    rng = Rng.copy cx.rng;
+    model = Cost_learn.copy cx.model;
+    tir = Cost_learn.copy cx.tir;
+    seen = Hashtbl.copy cx.seen;
+    skipped_seen = Hashtbl.copy cx.skipped_seen;
+    rejections = Hashtbl.copy cx.rejections;
+    epoch_obs = [];
+  }
 
 type checkpoint = {
   ck_format : int;
@@ -98,10 +116,11 @@ type checkpoint = {
   ck_islands : int;
   ck_migrate_every : int;
   ck_boundary : int;  (* rendezvous boundary (= generations when k=1) *)
-  ck_tir_model : Cost_learn.t;
-      (* the shared model merged from every island's observations
-         through [ck_boundary] *)
-  ck_states : island_state array;  (* length ck_islands, island order *)
+  ck_states : (island_ctx * bool) array;
+      (* length ck_islands, island order: each island's snapshot, and
+         whether the migration of [ck_boundary] has already been
+         applied to its population (a resumed island replays the
+         migration when it has not) *)
   ck_measured_trials : int;  (* cumulative simulator ledger *)
   ck_cache_hits : int;  (* cumulative engine-cache hits *)
   ck_elapsed_s : float;  (* wall clock consumed before the snapshot *)
@@ -109,14 +128,12 @@ type checkpoint = {
 
 (* Bump whenever the checkpoint layout (or anything it transitively
    contains) changes incompatibly; {!run} rejects other formats.
-   Format 2: island-aware checkpoints.  Every format-2 snapshot
-   resumes, including single-island ones whose states are
-   post-migration and whose [ck_migrate_every] is not 1: one island
-   always rendezvouses every generation, and migrates nothing. *)
-let checkpoint_format = 2
+   Format 3: one ridge-regressor record for both models, and island
+   snapshots that are copies of the working state. *)
+let checkpoint_format = 3
 
 let checkpoint_trial ck =
-  Array.fold_left (fun a s -> a + s.il_trial) 0 ck.ck_states
+  Array.fold_left (fun a (cx, _) -> a + cx.trial) 0 ck.ck_states
 
 let checkpoint_trials ck = ck.ck_trials
 let checkpoint_op_name ck = ck.ck_op_name
@@ -200,31 +217,6 @@ let env_islands () =
       | Some k when k >= 1 -> Some (clamp_islands k)
       | Some _ | None -> None)
 
-(* The mutable working state of one island; a run keeps [k] of these. *)
-type island_ctx = {
-  ix : int;
-  ix_trials : int;
-  rng : Rng.t;
-  model : Cost_model.t;
-  mutable tir : Cost_learn.t;  (* working copy of the learned model *)
-  seen : (Sketch.params, unit) Hashtbl.t;
-  skipped_seen : (Sketch.params, unit) Hashtbl.t;
-  mutable history : record list;  (* newest first *)
-  mutable best : Measure.result option;
-  mutable invalid : int;
-  rejections : (string, int) Hashtbl.t;
-  mutable measured : int;
-  mutable skipped : int;
-  mutable trial : int;
-  mutable population : (Sketch.params * float) list;
-  mutable generations : int;
-  mutable migrations : int;
-  mutable epoch_obs : (float array * float) list;
-      (* newest first: (features, latency) observed since the last
-         model merge — published at the next boundary (gated). *)
-  mutable done_ : bool;
-}
-
 (* What one island publishes at a boundary: its pre-migration
    population (the ring successor's migrants come from it), its working
    learned model with the epoch's observations that model folded in
@@ -235,7 +227,7 @@ type publication = {
   pub_tir : Cost_learn.t;
   pub_obs : (float array * float) list;
   pub_done : bool;  (* the island's trial budget is exhausted *)
-  pub_state : island_state option;
+  pub_state : (island_ctx * bool) option;
 }
 
 (* Rendezvous state shared by all islands of one run.  The islands
@@ -358,7 +350,7 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
          reproduces every pre-island trace byte-for-byte; with several
          islands each gets its own substream. *)
       rng = (if k = 1 then Rng.create ~seed else Rng.stream ~base:seed ~index:i);
-      model = Cost_model.create ();
+      model = Cost_learn.create_schedule ();
       tir = Cost_learn.create ();
       seen = Hashtbl.create 64;
       skipped_seen = Hashtbl.create 64;
@@ -376,61 +368,13 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       done_ = false;
     }
   in
-  (* Deep-copy every piece of resumed state: the caller may resume the
-     same in-memory checkpoint several times (tests do), and a run must
-     never mutate the snapshot it started from. *)
-  let ctx_of_state ~tir (st : island_state) =
-    {
-      ix = st.il_island;
-      ix_trials = st.il_trials;
-      rng = Rng.copy st.il_rng;
-      model = Cost_model.copy st.il_model;
-      tir;
-      seen = Hashtbl.copy st.il_seen;
-      skipped_seen = Hashtbl.copy st.il_skipped_seen;
-      history = st.il_history;
-      best = st.il_best;
-      invalid = st.il_invalid;
-      rejections = Hashtbl.copy st.il_rejections;
-      measured = st.il_measured;
-      skipped = st.il_skipped;
-      trial = st.il_trial;
-      population = st.il_population;
-      generations = st.il_generations;
-      migrations = st.il_migrations;
-      epoch_obs = [];
-      done_ = st.il_done;
-    }
-  in
-  let state_of_ctx ?(migrated = false) cx =
-    {
-      il_island = cx.ix;
-      il_trials = cx.ix_trials;
-      il_rng = Rng.copy cx.rng;
-      il_model = Cost_model.copy cx.model;
-      il_seen = Hashtbl.copy cx.seen;
-      il_skipped_seen = Hashtbl.copy cx.skipped_seen;
-      il_history = cx.history;
-      il_best = cx.best;
-      il_invalid = cx.invalid;
-      il_rejections = Hashtbl.copy cx.rejections;
-      il_measured = cx.measured;
-      il_skipped = cx.skipped;
-      il_trial = cx.trial;
-      il_population = cx.population;
-      il_generations = cx.generations;
-      il_migrations = cx.migrations;
-      il_done = cx.done_;
-      il_migrated = migrated;
-    }
-  in
   let ledger_counters () =
     let c = Engine.counters engine in
     ( base_measured_trials + c.Engine.costed - costed0,
       base_cache_hits + c.Engine.hits - hits0,
       base_elapsed_s +. (Obs.now_s () -. t0) )
   in
-  let make_checkpoint ~boundary ~tir states =
+  let make_checkpoint ~boundary states =
     let measured_trials, cache_hits, elapsed_s = ledger_counters () in
     {
       ck_format = checkpoint_format;
@@ -444,7 +388,6 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
       ck_islands = k;
       ck_migrate_every = migrate_every;
       ck_boundary = boundary;
-      ck_tir_model = Cost_learn.copy tir;
       ck_states = states;
       ck_measured_trials = measured_trials;
       ck_cache_hits = cache_hits;
@@ -465,7 +408,8 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     Hashtbl.replace cx.seen params ();
     Hashtbl.remove cx.skipped_seen params;
     let latency_s = m.Engine.latency_s in
-    Cost_model.observe cx.model (Cost_model.features op params) latency_s;
+    Cost_learn.observe cx.model (Cost_learn.schedule_features op params)
+      latency_s;
     if gated then begin
       let x = Cost_learn.features m.Engine.artifact.Engine.program in
       Cost_learn.observe cx.tir x latency_s;
@@ -618,10 +562,13 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
               if Rng.float cx.rng 1. < 0.3 then Sketch.mutate cx.rng cfg op m
               else m)
         in
-        if use_cost_model && Cost_model.trained cx.model then
+        if use_cost_model && Cost_learn.trained cx.model then
           List.fold_left
             (fun acc c ->
-              let s = Cost_model.predict cx.model (Cost_model.features op c) in
+              let s =
+                Cost_learn.predict_log cx.model
+                  (Cost_learn.schedule_features op c)
+              in
               match acc with
               | Some (_, s') when s' <= s -> acc
               | _ -> Some (c, s))
@@ -672,15 +619,12 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
               (fun (_, _, prep) -> Cost_learn.features prep.Engine.pprogram)
               fresh
           in
-          let order = Cost_learn.rank cx.tir feats in
           (* Snapshot predictions at ranking time — the model refits as
              measurements are observed below, and the recorded
              [predicted_s] must be the values the selection was made
              from (the re-rank invariant tests hold the log to this). *)
+          let order, pred_arr = Cost_learn.rank cx.tir feats in
           let trained_at_rank = Cost_learn.trained cx.tir in
-          let pred_arr =
-            Array.of_list (List.map (Cost_learn.predict cx.tir) feats)
-          in
           let n_sel =
             if trained_at_rank then
               Cost_learn.select_count ~ratio (List.length fresh)
@@ -836,14 +780,14 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
   let checkpointing = on_checkpoint <> None in
   (* Full state snapshots are only taken when a checkpoint can be
      emitted; otherwise a boundary publishes just what it consumes. *)
-  let publish ?migrated cx obs =
+  let publish ?(migrated = false) cx obs =
     {
       pub_population = cx.population;
       pub_tir = cx.tir;
       pub_obs = obs;
       pub_done = cx.done_;
       pub_state =
-        (if checkpointing then Some (state_of_ctx ?migrated cx) else None);
+        (if checkpointing then Some (copy_ctx cx, migrated) else None);
     }
   in
   let sh =
@@ -863,16 +807,18 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     match resume with
     | None -> List.init k fresh_ctx
     | Some ck ->
-        (* The checkpoint's model is already merged through its
-           boundary.  Islands that finished there (migration applied)
-           take no further part; every other island replays whatever
-           tail of the boundary its snapshot predates. *)
+        (* Deep-copy the snapshots: the caller may resume the same
+           in-memory checkpoint several times (tests do), and a run
+           must never mutate the snapshot it started from.  Their
+           models are already merged through the boundary.  Islands
+           that finished there (migration applied) take no further
+           part; every other island replays whatever tail of the
+           boundary its snapshot predates. *)
         Array.to_list ck.ck_states
-        |> List.map (fun st ->
-               let tir = Cost_learn.copy ck.ck_tir_model in
-               let cx = ctx_of_state ~tir st in
-               if st.il_done && st.il_migrated then
-                 sh.final.(cx.ix) <- Some (publish ~migrated:true cx []);
+        |> List.map (fun (st, migrated) ->
+               let cx = copy_ctx st in
+               if cx.done_ && migrated then
+                 sh.final.(cx.ix) <- Some (publish ~migrated cx []);
                cx)
   in
   (* Under [sh.sm].  What island [j] brings to boundary [b]: its
@@ -892,13 +838,17 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
     match on_checkpoint with
     | None -> ()
     | Some f ->
+        (* Every island continues from the merged model, so each
+           snapshot carries it: one copy, which marshalling shares. *)
+        let tir = Cost_learn.copy tir in
         let state j =
           match published j b with
-          | Some { pub_state = Some st; _ } -> st
+          | Some { pub_state = Some (st, migrated); _ } ->
+              ({ st with tir }, migrated)
           | Some { pub_state = None; _ } | None -> assert false
         in
         Obs.incr "search.checkpoints";
-        f (make_checkpoint ~boundary:b ~tir (Array.init k state))
+        f (make_checkpoint ~boundary:b (Array.init k state))
   in
   (* A done island exports its post-migration state: later boundaries
      take its elites (and checkpoint its state) from here. *)
@@ -996,11 +946,11 @@ let run ?(strategy = imtp_default) ?(seed = 2024) ?jobs ?islands
         b := ck.ck_boundary;
         (* Replay the tail of the checkpointed boundary for a snapshot
            taken before its migration. *)
-        let st = ck.ck_states.(cx.ix) in
-        if not st.il_migrated then begin
+        let _, migrated = ck.ck_states.(cx.ix) in
+        if not migrated then begin
           let migrants =
             if !b = 0 then []
-            else elites ck.ck_states.((cx.ix + k - 1) mod k).il_population
+            else elites (fst ck.ck_states.((cx.ix + k - 1) mod k)).population
           in
           if migrants <> [] then apply_migration cx migrants;
           if cx.done_ then finish cx

@@ -166,10 +166,10 @@ type outcome = {
 
     A checkpoint is a complete snapshot of the search's state at a
     boundary (after every generation when [islands = 1], every
-    [migrate_every] generations otherwise): every island's rng draw
-    position, cost model, population, deduplication tables, history and
-    tallies, plus the shared learned model as merged through that
-    boundary.  Resuming from it replays the killed run's remaining
+    [migrate_every] generations otherwise): a deep copy of every
+    island's working state — rng draw position, schedule-feature model,
+    population, deduplication tables, history and tallies, plus the
+    shared gate model as merged through that boundary.  Resuming from it replays the killed run's remaining
     trials {e bit-identically}
     — same history records (and therefore the same tuning-log lines),
     same best, same measured/skipped/invalid counts — because
@@ -242,8 +242,9 @@ val run :
     shards the search island-model style; [migrate_every] (default 2,
     generations; ignored with one island, which rendezvouses every
     generation) sets the migration cadence.  [use_cost_model] (default
-    true) lets the parameter-space {!Cost_model} rank candidate
-    mutations before proposal; disabling it falls back to unguided
+    true) lets a {!Cost_learn} model over schedule features
+    ({!Cost_learn.schedule_features}) rank candidate mutations before
+    proposal; disabling it falls back to unguided
     mutation (an ablation of Fig. 5's "evolutionary search guided by a
     cost model").  [measure_ratio] (default [None]: measure everything,
     pre-gating behaviour preserved bit-for-bit) turns on TIR-level

@@ -39,7 +39,6 @@ module Rng = Imtp_engine.Rng
 module Sketch = Imtp_engine.Sketch
 module Verifier = Imtp_engine.Verifier
 module Measure = Imtp_autotune.Measure
-module Cost_model = Imtp_autotune.Cost_model
 module Cost_learn = Imtp_autotune.Cost_learn
 module Search = Imtp_autotune.Search
 module Tuner = Imtp_autotune.Tuner

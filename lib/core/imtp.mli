@@ -69,8 +69,11 @@ module Rng = Imtp_engine.Rng
 module Sketch = Imtp_engine.Sketch
 module Verifier = Imtp_engine.Verifier
 module Measure = Imtp_autotune.Measure
-module Cost_model = Imtp_autotune.Cost_model
 module Cost_learn = Imtp_autotune.Cost_learn
+(** The search's one learned cost model: a ridge regressor that ranks
+    mutants by schedule features and gates the simulator by TIR
+    features. *)
+
 module Search = Imtp_autotune.Search
 module Tuner = Imtp_autotune.Tuner
 module Tuning_log = Imtp_autotune.Tuning_log

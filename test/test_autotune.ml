@@ -4,7 +4,7 @@
 module Sk = Imtp_engine.Sketch
 module V = Imtp_engine.Verifier
 module Ms = Imtp_autotune.Measure
-module Cm = Imtp_autotune.Cost_model
+module Cl = Imtp_autotune.Cost_learn
 module Se = Imtp_autotune.Search
 module Tu = Imtp_autotune.Tuner
 module Rng = Imtp_engine.Rng
@@ -146,7 +146,7 @@ let test_measure_noise_bounded () =
   done
 
 let test_cost_model_learns_ranking () =
-  let model = Cm.create () in
+  let model = Cl.create_schedule () in
   let op = Ops.mtv 256 512 in
   let rng = Rng.create ~seed:5 in
   let samples = ref [] in
@@ -158,10 +158,10 @@ let test_cost_model_learns_ranking () =
     match Ms.measure cfg op p with
     | Ok r ->
         samples := (p, r.Ms.latency_s) :: !samples;
-        Cm.observe model (Cm.features op p) r.Ms.latency_s
+        Cl.observe model (Cl.schedule_features op p) r.Ms.latency_s
     | Error _ -> ()
   done;
-  Alcotest.(check bool) "trained" true (Cm.trained model);
+  Alcotest.(check bool) "trained" true (Cl.trained model);
   (* rank correlation on held-out pairs: the model should order most
      clearly-separated pairs correctly. *)
   let eval = ref [] in
@@ -170,7 +170,9 @@ let test_cost_model_learns_ranking () =
     incr tries;
     let p = Sk.random rng cfg op in
     match Ms.measure cfg op p with
-    | Ok r -> eval := (Cm.predict model (Cm.features op p), r.Ms.latency_s) :: !eval
+    | Ok r -> eval :=
+          (Cl.predict_log model (Cl.schedule_features op p), r.Ms.latency_s)
+          :: !eval
     | Error _ -> ()
   done;
   let correct = ref 0 and total = ref 0 in
@@ -675,17 +677,16 @@ let test_resume_wrong_op_rejected () =
   | _ -> Alcotest.fail "resume accepted a different operator"
   | exception Invalid_argument _ -> ()
 
-(* A single-island checkpoint written by the search before one-island
-   runs went through the island-model loop (gated mtv 128x256, seed 23,
-   48 trials, stopped after generation 1).  [imtp serve] keeps [.ckpt]
-   files across daemon restarts, so an upgrade must still load such a
-   file and resume it to the uninterrupted run's outcome.  [Search.run]
-   rejects any other checkpoint format, so the resume also proves the
-   file is read as format 2. *)
+(* A single-island checkpoint committed as a fixture (gated mtv 128x256,
+   seed 23, 48 trials, stopped after generation 1).  [imtp serve] keeps
+   [.ckpt] files across daemon restarts, so a file this format wrote
+   must keep loading and resume to the uninterrupted run's outcome.
+   [Search.run] rejects any other checkpoint format, so the resume also
+   proves the file is read as format 3. *)
 let test_committed_checkpoint_resumes () =
-  Alcotest.(check int) "checkpoint format" 2 Se.checkpoint_format;
+  Alcotest.(check int) "checkpoint format" 3 Se.checkpoint_format;
   let ck =
-    match Ck.load (fixture "search_checkpoint_v2.ckpt") with
+    match Ck.load (fixture "search_checkpoint_v3.ckpt") with
     | Ok ck -> ck
     | Error m -> Alcotest.fail m
   in
@@ -697,6 +698,26 @@ let test_committed_checkpoint_resumes () =
   Alcotest.(check bool) "resumed run completed" false resumed.Se.interrupted;
   if outcome_key resumed <> outcome_key full then
     Alcotest.fail "resumed outcome differs from uninterrupted run"
+
+(* The same spec written by a format-2 build.  Its payload has another
+   layout, so unmarshalling it as this build's checkpoint type would be
+   memory-unsafe: the magic line must reject it first, naming the magic
+   this build expects. *)
+let test_stale_checkpoint_rejected () =
+  match Ck.load (fixture "search_checkpoint_v2.ckpt") with
+  | Ok _ -> Alcotest.fail "loaded a format-2 checkpoint"
+  | Error m ->
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the expected magic: %s" m)
+        true
+        (contains (Printf.sprintf "imtp-checkpoint-v%d" Se.checkpoint_format))
 
 (* --- Island model ----------------------------------------------------- *)
 
@@ -919,6 +940,8 @@ let () =
             test_resume_wrong_op_rejected;
           Alcotest.test_case "committed single-island checkpoint resumes"
             `Quick test_committed_checkpoint_resumes;
+          Alcotest.test_case "format-2 checkpoint rejected" `Quick
+            test_stale_checkpoint_rejected;
         ] );
       ( "islands",
         [

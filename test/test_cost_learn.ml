@@ -16,17 +16,17 @@ let cfg = U.Config.default
 (* A deterministic pseudo-random feature vector: bias 1, then values in
    [0, 4).  No measurement involved — this exercises the regressor
    alone. *)
-let synth_x rng =
-  Array.init Cl.dim (fun i -> if i = 0 then 1. else Rng.float rng 4.)
+let synth_x ?(dim = Cl.dim) rng =
+  Array.init dim (fun i -> if i = 0 then 1. else Rng.float rng 4.)
 
-let test_ridge_recovers_linear_cost () =
-  (* y = exp(w . x) exactly; with negligible regularization and more
-     well-spread samples than dimensions, the normal equations recover
-     w and every prediction matches to floating-point accuracy. *)
+(* y = exp(w . x) exactly; with negligible regularization and more
+   well-spread samples than dimensions, the normal equations recover w
+   and every prediction matches to floating-point accuracy. *)
+let check_recovery ~dim model =
+  let synth_x = synth_x ~dim in
   let rng = Rng.create ~seed:31 in
-  let w = Array.init Cl.dim (fun i -> 0.05 *. float_of_int (i mod 7) -. 0.1) in
+  let w = Array.init dim (fun i -> 0.05 *. float_of_int (i mod 7) -. 0.1) in
   let dot x = Array.fold_left ( +. ) 0. (Array.mapi (fun i v -> v *. w.(i)) x) in
-  let model = Cl.create ~lambda:1e-9 () in
   let train = List.init 120 (fun _ -> synth_x rng) in
   List.iter (fun x -> Cl.observe model x (exp (dot x))) train;
   Alcotest.(check bool) "trained" true (Cl.trained model);
@@ -36,20 +36,31 @@ let test_ridge_recovers_linear_cost () =
     (fun x ->
       let got = Cl.predict_log model x and want = dot x in
       if Float.abs (got -. want) > 1e-6 then
-        Alcotest.failf "prediction off: got %.12g want %.12g" got want)
+        Alcotest.failf "width %d: prediction off: got %.12g want %.12g" dim
+          got want)
     holdout;
-  (* and the residuals tracked for these 20 observes are tiny too: the
-     running mean covers every post-training observe (including the
-     early, under-determined ones), so recover just the holdout
-     contribution from the before/after means and counts. *)
-  let n_before = float_of_int (120 - 8) in
-  let e_before = Option.get (Cl.mean_abs_log_err model) in
-  List.iter (fun x -> Cl.observe model x (exp (dot x))) holdout;
-  let e_after = Option.get (Cl.mean_abs_log_err model) in
-  let holdout_mean =
-    (((n_before +. 20.) *. e_after) -. (n_before *. e_before)) /. 20.
-  in
-  Alcotest.(check bool) "holdout mean log err ~ 0" true (holdout_mean < 1e-6)
+  match Cl.mean_abs_log_err model with
+  | None ->
+      (* a schedule-feature model keeps no holdout error *)
+      Alcotest.(check int) "schedule width" 11 dim
+  | Some e_before ->
+      (* and the residuals tracked for these 20 observes are tiny too:
+         the running mean covers every post-training observe (including
+         the early, under-determined ones), so recover just the holdout
+         contribution from the before/after means and counts. *)
+      let n_before = float_of_int (120 - 8) in
+      List.iter (fun x -> Cl.observe model x (exp (dot x))) holdout;
+      let e_after = Option.get (Cl.mean_abs_log_err model) in
+      let holdout_mean =
+        (((n_before +. 20.) *. e_after) -. (n_before *. e_before)) /. 20.
+      in
+      Alcotest.(check bool) "holdout mean log err ~ 0" true
+        (holdout_mean < 1e-6)
+
+(* Over the 16 TIR features and over the 11 schedule features alike. *)
+let test_ridge_recovers_linear_cost () =
+  check_recovery ~dim:Cl.dim (Cl.create ~lambda:1e-9 ());
+  check_recovery ~dim:11 (Cl.create_schedule ~lambda:1e-9 ())
 
 let test_untrained_predicts_infinity () =
   let model = Cl.create () in
@@ -142,10 +153,13 @@ let test_rank_stable () =
   let xs = List.init 10 (fun _ -> synth_x rng) in
   (* untrained: uniform +inf predictions must keep proposal order *)
   Alcotest.(check (list int)) "untrained keeps order"
-    (List.init 10 Fun.id) (Cl.rank model xs);
-  (* trained: ranking sorts by predicted cost, deterministically *)
+    (List.init 10 Fun.id) (fst (Cl.rank model xs));
+  (* trained: ranking sorts by predicted cost, deterministically, and
+     reports the predictions it sorted by *)
   List.iter (fun x -> Cl.observe model x (exp x.(1))) xs;
-  let a = Cl.rank model xs and b = Cl.rank model xs in
+  let a, preds = Cl.rank model xs and b, _ = Cl.rank model xs in
+  Alcotest.(check bool) "predictions match predict" true
+    (preds = Array.of_list (List.map (Cl.predict model) xs));
   Alcotest.(check (list int)) "deterministic" a b;
   Alcotest.(check int) "permutation" 10
     (List.length (List.sort_uniq compare a))

@@ -478,6 +478,47 @@ let test_admission_backpressure () =
       Alcotest.(check bool) "busy rejections counted" true
         (stats_field "sessions" "rejected_busy" >= 2.))
 
+(* A checkpoint left by a build with another checkpoint format (the
+   committed format-2 fixture) must not take the daemon down: its
+   session answers [internal] naming the file, other sessions keep
+   being served, and removing the file starts the session afresh. *)
+let test_daemon_stale_checkpoint () =
+  let fixture =
+    let name = "search_checkpoint_v2.ckpt" in
+    if Sys.file_exists name then name else Filename.concat "test" name
+  in
+  with_daemon (fun cfg socket ->
+      let ckpt_path =
+        Filename.concat cfg.Serve.checkpoint_dir "stale.ckpt"
+      in
+      let ic = open_in_bin fixture in
+      let bytes =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      let oc = open_out_bin ckpt_path in
+      output_string oc bytes;
+      close_out oc;
+      let tune session = Client.with_connection ~socket (quick_tune ~session) in
+      (match tune "stale" with
+      | Error (Client.Server (P.Internal, m)) ->
+          if not (String.starts_with ~prefix:ckpt_path m) then
+            Alcotest.failf "internal error does not name the file: %s" m
+      | Error e -> fail_client e
+      | Ok _ -> Alcotest.fail "resumed a format-2 checkpoint");
+      Alcotest.(check bool) "stale file left in place" true
+        (Sys.file_exists ckpt_path);
+      let other = ok (tune "fresh") in
+      Alcotest.(check bool) "another session completes" false
+        (Json.member "interrupted" other = Some (Json.Bool true));
+      Sys.remove ckpt_path;
+      let again = ok (tune "stale") in
+      Alcotest.(check bool) "session starts afresh once the file is gone"
+        true
+        (Json.member "resumed_from" again = Some Json.Null
+        && jstr again "history_digest" = jstr other "history_digest"))
+
 (* Interrupt-then-resume across daemon lifetimes, sharing one
    checkpoint dir: a shutdown mid-tune answers the client with
    [interrupted = true] and leaves the checkpoint behind; a second
@@ -606,5 +647,7 @@ let () =
             test_admission_backpressure;
           Alcotest.test_case "interrupt + resume across daemons" `Quick
             test_daemon_resume_after_interrupt;
+          Alcotest.test_case "stale-format checkpoint is internal" `Quick
+            test_daemon_stale_checkpoint;
         ] );
     ]
